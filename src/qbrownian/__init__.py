@@ -1,17 +1,19 @@
 """Exact phase-space dynamics of a damped quantum harmonic oscillator.
 
 Simulates a harmonic oscillator coupled to a high-temperature Ohmic
-reservoir beyond the Markov approximation: time-dependent rate coefficients,
-exact Gaussian-state propagation, Wigner-function grids, and a truncated
+reservoir beyond the Markov approximation: time-dependent rate coefficients
+evaluated in closed form on arrays, exact Gaussian-state propagation into
+array-backed trajectories, Wigner-function grids, and a truncated
 number-basis master-equation integrator used as a test oracle.
 """
 
 from .coefficients import (
-    CoefficientSample,
+    CoefficientGrid,
     LindbladClassification,
     PhysicalParams,
     big_gamma,
     classify_lindblad,
+    closed_forms,
     coefficient_grid,
     delta_big_gamma,
     delta_coeff,
@@ -34,6 +36,7 @@ from .quadrature import (
     QuadratureResult,
     integrate_adaptive,
     integrate_fixed,
+    integrate_panels,
 )
 from .wigner import (
     GridMoments,
@@ -49,7 +52,7 @@ from .wigner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientSample",
+    "CoefficientGrid",
     "GaussianState",
     "GridMoments",
     "GridSpec",
@@ -61,6 +64,7 @@ __all__ = [
     "WignerGrid",
     "big_gamma",
     "classify_lindblad",
+    "closed_forms",
     "coefficient_grid",
     "delta_big_gamma",
     "delta_coeff",
@@ -70,6 +74,7 @@ __all__ = [
     "grid_moments",
     "integrate_adaptive",
     "integrate_fixed",
+    "integrate_panels",
     "make_coherent",
     "make_squeezed",
     "mean_quanta",

@@ -14,7 +14,8 @@ byte-identical output files: floats are written in shortest round-trip form
 and no timestamps enter the data.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 numerical
-failure (quadrature/integration), 4 I/O failure.
+failure (quadrature/integration, or an arithmetic error such as overflow),
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .coefficients import PhysicalParams, classify_lindblad, coefficient_grid
@@ -136,6 +139,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         for key, val in _load_config_file(args.config).items():
             default = getattr(cfg, key)
+            if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
+                raise ValueError(f"config key {key!r} must be an integer, got {val!r}")
             setattr(cfg, key, type(default)(val))
     for f in fields(RunConfig):
         cli_val = getattr(args, f.name, None)
@@ -164,27 +169,28 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then one row per index of the equal-length columns.
+
+    ``tolist()`` turns the columns into Python floats, whose ``repr`` is the
+    text `_fmt` writes.
+    """
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def cmd_coeffs(cfg: RunConfig) -> None:
     p = cfg.physical_params()
     step = cfg.tau_max / (cfg.steps - 1)
     taus = [i * step for i in range(cfg.steps - 1)] + [cfg.tau_max]
-    samples = coefficient_grid(p, taus, tol=cfg.tol)
+    grid = coefficient_grid(p, taus, tol=cfg.tol)
+    names = ("tau", "delta", "gamma", "big_gamma", "delta_gamma")
+    columns = [getattr(grid, name) for name in names]
     if cfg.format == "csv":
-        lines = ["tau,delta,gamma,big_gamma,delta_gamma"]
-        for s in samples:
-            lines.append(
-                ",".join(_fmt(v) for v in (s.tau, s.delta, s.gamma, s.big_gamma, s.delta_gamma))
-            )
-        _write_text(_out_path(cfg, "coeffs", "csv"), "\n".join(lines) + "\n")
+        _write_text(_out_path(cfg, "coeffs", "csv"), _csv(",".join(names), columns))
     else:
-        data = {
-            "tau": [s.tau for s in samples],
-            "delta": [s.delta for s in samples],
-            "gamma": [s.gamma for s in samples],
-            "big_gamma": [s.big_gamma for s in samples],
-            "delta_gamma": [s.delta_gamma for s in samples],
-            "version": __version__,
-        }
+        data = {name: col.tolist() for name, col in zip(names, columns)}
+        data["version"] = __version__
         _write_text(_out_path(cfg, "coeffs", "json"), _json_dumps(data))
 
 
@@ -206,16 +212,9 @@ def cmd_moments(cfg: RunConfig) -> None:
     mx, my = traj.means(frame=cfg.frame)
     summary = _moments_summary(cfg, traj)
     if cfg.format == "csv":
-        lines = ["tau,n_mean,var_x,var_y,cov_xy,mean_x,mean_y"]
-        for k in range(len(traj.times)):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (traj.times[k], traj.n_mean[k], vx[k], vy[k], cxy[k], mx[k], my[k])
-                )
-            )
         out = _out_path(cfg, "moments", "csv")
-        _write_text(out, "\n".join(lines) + "\n")
+        _write_text(out, _csv("tau,n_mean,var_x,var_y,cov_xy,mean_x,mean_y",
+                              (traj.times, traj.n_mean, vx, vy, cxy, mx, my)))
         _write_text(out.with_suffix(".summary.json"), _json_dumps(summary))
     else:
         data = {
@@ -354,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dump_config:
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         _COMMANDS[args.command](cfg)
-    except IntegrationError as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

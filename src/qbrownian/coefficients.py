@@ -14,7 +14,12 @@ dissipation coefficient gamma(tau), and their integrated forms
 
 Both Delta and gamma are linear combinations of 1, e^(-tau)cos(tau/r) and
 e^(-tau)sin(tau/r), so Gamma has an elementary antiderivative; Delta_Gamma
-does not, hence the adaptive quadrature.
+does not, hence Gauss-Legendre panels over the e^(-tau) transient and a
+closed-form relaxation towards kT*r after it.
+
+`closed_forms` evaluates Delta, gamma and Gamma on arrays; the scalar
+functions `delta_coeff`, `gamma_coeff` and `big_gamma` call it on one time,
+so a scalar value equals the corresponding grid entry bit for bit.
 """
 
 from __future__ import annotations
@@ -23,13 +28,25 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .quadrature import IntegrationError, integrate_adaptive
+import numpy as np
+
+from .quadrature import IntegrationError, integrate_panels
 
 # Default relative tolerance for the Delta_Gamma quadrature.
 DEFAULT_TOL = 1e-10
 
 # Width (in tau) to which sign-change boundaries are refined by bisection.
 _BISECT_WIDTH = 1e-9
+
+# -ln of double-precision epsilon: past the transient end, e^(-tau) times the
+# largest oscillation amplitude is below 2^-53 of the coefficients' plateaus.
+_NEG_LOG_EPS = 53.0 * math.log(2.0)
+
+# Delta_Gamma panels per call (a panel is at most min(r, 1)/2 wide), and per
+# array pass; the cap bounds memory and time, and is reached for r below
+# about 1e-4.
+_MAX_PANELS = 1 << 20
+_PANEL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,15 +89,18 @@ class PhysicalParams:
         return 1.0 / self.r
 
 
-@dataclass(frozen=True)
-class CoefficientSample:
-    """Coefficient values at a single dimensionless time."""
+@dataclass(frozen=True, eq=False)
+class CoefficientGrid:
+    """Coefficient columns on a time grid: entry k of each array is at ``tau[k]``."""
 
-    tau: float
-    delta: float
-    gamma: float
-    big_gamma: float
-    delta_gamma: float
+    tau: np.ndarray
+    delta: np.ndarray
+    gamma: np.ndarray
+    big_gamma: np.ndarray
+    delta_gamma: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tau)
 
 
 @dataclass(frozen=True)
@@ -104,6 +124,33 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def closed_forms(
+    p: PhysicalParams, tau
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Delta, gamma, Gamma) at the times ``tau``, elementwise on arrays.
+
+    The formulas are those documented on `delta_coeff`, `gamma_coeff` and
+    `big_gamma`.  Times are not validated here; the scalar functions and
+    `coefficient_grid` check them.
+    """
+    tau = np.asarray(tau, dtype=float)
+    w = 1.0 / p.r
+    g2 = p.g * p.g
+    pref_delta = 2.0 * g2 * p.kt_over_wc * ((p.r * p.r) / (1.0 + p.r * p.r))
+    pref_gamma = g2 * (p.r / (1.0 + p.r * p.r))
+    e = np.exp(-tau)
+    c = np.cos(w * tau)
+    s = np.sin(w * tau)
+    bracket = 1.0 - e * (c - w * s)
+    delta = pref_delta * bracket
+    gamma = pref_gamma * (1.0 - e * c - p.r * e * s)
+    denom = 1.0 + w * w
+    int_cos = bracket / denom
+    int_sin = (w - e * (s + w * c)) / denom
+    big = 2.0 * pref_gamma * (tau - int_cos - p.r * int_sin)
+    return delta, gamma, big
+
+
 def delta_coeff(p: PhysicalParams, tau: float) -> float:
     """Diffusion coefficient Delta(tau) in units of omega_c.
 
@@ -114,12 +161,7 @@ def delta_coeff(p: PhysicalParams, tau: float) -> float:
     r << 1), and relaxes to the positive asymptote as the e^(-tau) transient
     dies out.
     """
-    tau = _check_tau(tau)
-    w = 1.0 / p.r
-    pref = 2.0 * (p.g * p.g) * p.kt_over_wc * ((p.r * p.r) / (1.0 + p.r * p.r))
-    return pref * (
-        1.0 - math.exp(-tau) * (math.cos(w * tau) - w * math.sin(w * tau))
-    )
+    return float(closed_forms(p, _check_tau(tau))[0])
 
 
 def gamma_coeff(p: PhysicalParams, tau: float) -> float:
@@ -128,11 +170,7 @@ def gamma_coeff(p: PhysicalParams, tau: float) -> float:
     gamma(tau) = g^2 r/(1+r^2)
                  * [1 - e^(-tau) cos(tau/r) - r e^(-tau) sin(tau/r)].
     """
-    tau = _check_tau(tau)
-    w = 1.0 / p.r
-    pref = (p.g * p.g) * (p.r / (1.0 + p.r * p.r))
-    e = math.exp(-tau)
-    return pref * (1.0 - e * math.cos(w * tau) - p.r * e * math.sin(w * tau))
+    return float(closed_forms(p, _check_tau(tau))[1])
 
 
 def big_gamma(p: PhysicalParams, tau: float) -> float:
@@ -143,93 +181,120 @@ def big_gamma(p: PhysicalParams, tau: float) -> float:
         integral_0^tau e^(-s) sin(ws) ds = [w - e^(-tau)(sin + w cos)] / (1+w^2)
     with w = 1/r; no quadrature is involved.
     """
-    tau = _check_tau(tau)
-    w = 1.0 / p.r
-    pref = (p.g * p.g) * (p.r / (1.0 + p.r * p.r))
-    e = math.exp(-tau)
-    c = math.cos(w * tau)
-    s = math.sin(w * tau)
-    denom = 1.0 + w * w
-    int_cos = (1.0 - e * (c - w * s)) / denom
-    int_sin = (w - e * (s + w * c)) / denom
-    return 2.0 * pref * (tau - int_cos - p.r * int_sin)
+    return float(closed_forms(p, _check_tau(tau))[2])
 
 
-def _exp_gamma_delta(p: PhysicalParams, shift: float):
-    """Integrand s -> exp(Gamma(s) - shift) * Delta(s)."""
+def _delta_gamma(
+    p: PhysicalParams, taus: np.ndarray, big: np.ndarray, tol: float
+) -> np.ndarray:
+    """Delta_Gamma at increasing times ``taus`` >= 0, where Gamma equals ``big``.
 
-    def f(s: float) -> float:
-        return math.exp(big_gamma(p, s) - shift) * delta_coeff(p, s)
+    Segment k runs from the previous time (0 for k = 0) to taus[k] and
 
-    return f
+        D_k = exp(Gamma_{k-1} - Gamma_k) D_{k-1}
+              + integral_segment exp(Gamma(s) - Gamma_k) Delta(s) ds,
+
+    whose exponents stay near or below 0, so a large Gamma cannot overflow.
+    Each segment's integral splits at the transient's end: before it,
+    Gauss-Legendre panels at most min(r, 1)/2 wide resolve the oscillation
+    period 2*pi*r; after it Delta and gamma are constant to double precision,
+    and the integral is kT r (1 - exp(Gamma(split) - Gamma_k)) in closed form.
+    A segment fails when the panels' summed error estimate exceeds ``tol``
+    times their summed integral of |integrand|.
+    """
+    if p.g == 0.0 or taus.size == 0:
+        return np.zeros(taus.shape)
+    starts = np.concatenate(([0.0], taus[:-1]))
+    transient_end = _NEG_LOG_EPS + math.log((1.0 + 1.0 / p.r) * (1.0 + p.r))
+    split = np.minimum(np.maximum(starts, transient_end), taus)
+    relaxed = -np.expm1(closed_forms(p, split)[2] - big)
+    sums = p.kt_over_wc * p.r * relaxed
+
+    # Panels resolve the oscillation period 2*pi*r, the e^(-tau) transient and
+    # the growth of exp(Gamma), whose rate 2*gamma is below 2 g^2 r (2+r)/(1+r^2).
+    rate = max(1.0 / p.r, 1.0, 2.0 * p.g * p.g * p.r * (2.0 + p.r) / (1.0 + p.r * p.r))
+    width = split - starts
+    n_panels = np.ceil(width * (2.0 * rate)).astype(np.int64)
+    total = int(n_panels.sum())
+    if total > _MAX_PANELS:
+        raise IntegrationError(
+            f"Delta_Gamma quadrature up to tau={float(taus[-1])!r} needs {total} "
+            f"panels, more than the limit of {_MAX_PANELS}"
+        )
+    seg = np.repeat(np.arange(taus.size), n_panels)
+    index = np.arange(total) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
+    scale = width[seg] / n_panels[seg]
+    lo = starts[seg] + index * scale
+    hi = starts[seg] + (index + 1) * scale
+    errors = np.zeros(taus.shape)
+    magnitudes = np.zeros(taus.shape)
+    for first in range(0, total, _PANEL_CHUNK):
+        part = slice(first, first + _PANEL_CHUNK)
+        shift = big[seg[part]][:, None]
+
+        def integrand(s: np.ndarray) -> np.ndarray:
+            delta, _, gs = closed_forms(p, s)
+            return np.exp(gs - shift) * delta
+
+        value, error, magnitude = integrate_panels(integrand, lo[part], hi[part])
+        np.add.at(sums, seg[part], value)
+        np.add.at(errors, seg[part], error)
+        np.add.at(magnitudes, seg[part], magnitude)
+    bad = ~(errors <= tol * magnitudes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IntegrationError(
+            f"Delta_Gamma quadrature did not converge at tau={float(taus[k])!r} "
+            f"(error estimate {errors[k]:.3e} against integral of |integrand| "
+            f"{magnitudes[k]:.3e})"
+        )
+
+    decay = np.exp(np.concatenate(([0.0], big[:-1])) - big)
+    values = []
+    d = 0.0
+    for q, inc in zip(decay.tolist(), sums.tolist()):
+        d = q * d + inc
+        values.append(d)
+    return np.array(values)
 
 
 def delta_big_gamma(p: PhysicalParams, tau: float, tol: float = DEFAULT_TOL) -> float:
     """Damped integrated diffusion Delta_Gamma(tau).
 
-    Computed as exp(-Gamma(tau)) * integral_0^tau exp(Gamma(s)) Delta(s) ds
-    by adaptive quadrature with relative tolerance ``tol``; the damping factor
-    is folded into the integrand so it stays O(Delta) at large tau.
+    exp(-Gamma(tau)) * integral_0^tau exp(Gamma(s)) Delta(s) ds, computed by
+    the code behind `coefficient_grid` on the one-point grid [tau]; ``tol``
+    is the relative tolerance on the quadrature's error estimate.
 
     Raises
     ------
     IntegrationError
-        If the adaptive quadrature hits its subdivision limit.
+        If the quadrature's error estimate misses the tolerance.
     """
-    tau = _check_tau(tau)
-    if tau == 0.0:
-        return 0.0
-    res = integrate_adaptive(_exp_gamma_delta(p, big_gamma(p, tau)), 0.0, tau, tol=tol)
-    if not res.converged:
-        raise IntegrationError(
-            f"Delta_Gamma quadrature did not converge at tau={tau!r} "
-            f"(error estimate {res.error_estimate:.3e} after {res.evaluations} evaluations)"
-        )
-    return res.value
+    t = np.array([_check_tau(tau)])
+    return float(_delta_gamma(p, t, closed_forms(p, t)[2], tol)[0])
 
 
 def coefficient_grid(
     p: PhysicalParams, taus: Sequence[float], tol: float = DEFAULT_TOL
-) -> list[CoefficientSample]:
+) -> CoefficientGrid:
     """Evaluate all four coefficients on an increasing time grid.
 
-    Delta_Gamma is accumulated incrementally: the raw integral
-    I(tau) = integral_0^tau exp(Gamma) Delta is carried forward between grid
-    points so the total quadrature cost is O(n), not O(n^2).
+    Delta, gamma and Gamma come from `closed_forms`; Delta_Gamma is carried
+    from one grid point to the next, so the quadrature cost is O(n) panels
+    plus the panels spanning the transient.
     """
-    taus = [float(t) for t in taus]
-    if not taus:
-        return []
-    if taus[0] < 0.0:
-        raise ValueError(f"grid times must be >= 0, got {taus[0]!r}")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("grid times must be strictly increasing")
-
-    samples: list[CoefficientSample] = []
-    raw_integral = 0.0  # I(tau) = integral_0^tau exp(Gamma(s)) Delta(s) ds
-    prev = 0.0
-    integrand = _exp_gamma_delta(p, 0.0)
-    for t in taus:
-        if t > prev:
-            res = integrate_adaptive(integrand, prev, t, tol=tol)
-            if not res.converged:
-                raise IntegrationError(
-                    f"Delta_Gamma quadrature did not converge on segment "
-                    f"[{prev!r}, {t!r}]"
-                )
-            raw_integral += res.value
-            prev = t
-        gt = big_gamma(p, t)
-        samples.append(
-            CoefficientSample(
-                tau=t,
-                delta=delta_coeff(p, t),
-                gamma=gamma_coeff(p, t),
-                big_gamma=gt,
-                delta_gamma=math.exp(-gt) * raw_integral if t > 0.0 else 0.0,
-            )
-        )
-    return samples
+    taus = np.array(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"grid times must be a 1-D sequence, got shape {taus.shape}")
+    if taus.size:
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("grid times must be finite")
+        if taus[0] < 0.0:
+            raise ValueError(f"grid times must be >= 0, got {float(taus[0])!r}")
+        if np.any(np.diff(taus) <= 0.0):
+            raise ValueError("grid times must be strictly increasing")
+    delta, gamma, big = closed_forms(p, taus)
+    return CoefficientGrid(taus, delta, gamma, big, _delta_gamma(p, taus, big, tol))
 
 
 def _refine_crossing(f, lo: float, hi: float) -> float:
@@ -254,8 +319,8 @@ def classify_lindblad(
     """Classify the generator as Lindblad-type or not on [0, tau_max].
 
     Samples Delta + gamma and Delta - gamma on a uniform grid of
-    ``n_samples`` points, groups runs of strictly negative values, and
-    refines each run boundary by bisection to width 1e-9 in tau.  Negativity
+    ``n_samples`` points (one `closed_forms` call), groups runs of strictly
+    negative values, and refines each run boundary by bisection to width 1e-9 in tau.  Negativity
     narrower than the grid spacing can go undetected; use enough samples for
     the oscillation period 2*pi*r of the coefficients.
     """
@@ -265,29 +330,24 @@ def classify_lindblad(
         raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
 
     step = tau_max / (n_samples - 1)
-    grid = [i * step for i in range(n_samples - 1)] + [tau_max]
-
-    combos = {
-        "delta_plus_gamma": lambda t: delta_coeff(p, t) + gamma_coeff(p, t),
-        "delta_minus_gamma": lambda t: delta_coeff(p, t) - gamma_coeff(p, t),
-    }
+    taus = np.append(np.arange(n_samples - 1) * step, tau_max)
+    delta, gamma, _ = closed_forms(p, taus)
+    grid = taus.tolist()
     negative_intervals: dict[str, list[tuple[float, float]]] = {}
-    for name, f in combos.items():
-        vals = [f(t) for t in grid]
+    for name, sign in (("delta_plus_gamma", 1.0), ("delta_minus_gamma", -1.0)):
+
+        def f(t: float, sign: float = sign) -> float:
+            d, g, _ = closed_forms(p, t)
+            return float(d + sign * g)
+
+        negative = np.concatenate(([False], delta + sign * gamma < 0.0, [False]))
+        # Alternating first index of each negative run and one past its end.
+        edges = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
         intervals: list[tuple[float, float]] = []
-        i = 0
-        n = len(grid)
-        while i < n:
-            if vals[i] < 0.0:
-                j = i
-                while j + 1 < n and vals[j + 1] < 0.0:
-                    j += 1
-                start = 0.0 if i == 0 else _refine_crossing(f, grid[i - 1], grid[i])
-                end = tau_max if j == n - 1 else _refine_crossing(f, grid[j], grid[j + 1])
-                intervals.append((start, end))
-                i = j + 1
-            else:
-                i += 1
+        for i, j in zip(edges[::2], edges[1::2]):
+            start = 0.0 if i == 0 else _refine_crossing(f, grid[i - 1], grid[i])
+            end = tau_max if j == n_samples else _refine_crossing(f, grid[j - 1], grid[j])
+            intervals.append((start, end))
         negative_intervals[name] = intervals
 
     is_lindblad = all(not v for v in negative_intervals.values())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .coefficients import PhysicalParams, delta_coeff, gamma_coeff
+from .coefficients import PhysicalParams, closed_forms
 from .quadrature import IntegrationError
 from .wigner import GridSpec, WignerGrid
 
@@ -189,7 +189,8 @@ def integrate_me(
 ) -> FockTrajectory:
     """Integrate the master equation by fixed-step RK4.
 
-    Coefficients are sampled at the substep times (t, t+dt/2, t+dt).  The
+    Coefficients are sampled at the substep times (t, t+dt/2, t+dt), those
+    of one recording interval in a single `closed_forms` call.  The
     trace is renormalized every step; per-step drift beyond 1e-6 aborts, and
     eigenvalue negativity beyond 1e-7 at a recorded sample aborts.  ``dt``
     defaults to 1e-3 * min(1, r) and is rounded down so records land exactly
@@ -236,14 +237,12 @@ def integrate_me(
 
     record(0, rho)
     for k in range(1, n_record):
-        t = times[k - 1]
-        for i in range(steps_per_rec):
-            t0 = t + i * h
-            tm = t0 + 0.5 * h
-            t1 = t0 + h
-            d0, g0 = delta_coeff(p, t0), gamma_coeff(p, t0)
-            dm, gm = delta_coeff(p, tm), gamma_coeff(p, tm)
-            d1, g1 = delta_coeff(p, t1), gamma_coeff(p, t1)
+        t0s = times[k - 1] + np.arange(steps_per_rec) * h
+        substeps = np.stack([t0s, t0s + 0.5 * h, t0s + h])
+        deltas, gammas, _ = closed_forms(p, substeps)
+        for t1, (d0, dm, d1), (g0, gm, g1) in zip(
+            substeps[2].tolist(), deltas.T.tolist(), gammas.T.tolist()
+        ):
             k1 = work.rhs(rho, d0, g0)
             k2 = work.rhs(rho + 0.5 * h * k1, dm, gm)
             k3 = work.rhs(rho + 0.5 * h * k2, dm, gm)

@@ -14,7 +14,12 @@ which on second moments reads
 with R the 2x2 rotation.  This is the "lab frame": the free oscillator
 rotation is included.  Squeezing is a corotating-frame notion (the frame in
 which that rotation is undone), so the interval detector below works on
-corotating variances; `GaussianState.rotated` converts between frames.
+corotating variances; `GaussianState.rotated` and `Trajectory.variances` /
+`Trajectory.means` convert between frames.
+
+`_channel` applies that law to a whole time grid at once; `propagate` is its
+one-time case and `evolve_trajectory` its grid case, whose `Trajectory`
+stores the moments as arrays.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ import numpy as np
 
 from .coefficients import (
     DEFAULT_TOL,
-    CoefficientSample,
+    CoefficientGrid,
     PhysicalParams,
-    big_gamma,
     coefficient_grid,
-    delta_big_gamma,
 )
 
 # Tolerance slack on the uncertainty bound det(cov) >= 1/4.
@@ -42,9 +45,33 @@ PHYSICALITY_TOL = 1e-9
 SQUEEZING_THRESHOLD = 0.5
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rotate(mean: np.ndarray, cov: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+    """R(theta) mean and R(theta) cov R(theta)^T, R the counterclockwise rotation.
+
+    Works on one state (mean (2,), cov (2, 2), scalar theta) or on stacks
+    (mean (n, 2), cov (n, 2, 2), theta (n,)).  Only the upper triangle of
+    ``cov`` is read, and the result is symmetric by construction.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    mx, my = mean[..., 0], mean[..., 1]
+    a, b, d = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
+    cc, ss, cs = c * c, s * s, c * s
+    xx = cc * a - 2.0 * cs * b + ss * d
+    yy = ss * a + 2.0 * cs * b + cc * d
+    xy = cs * (a - d) + (cc - ss) * b
+    rmean = np.stack([c * mx - s * my, s * mx + c * my], axis=-1)
+    rcov = np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-2)
+    return rmean, rcov
+
+
+def _det(cov: np.ndarray) -> np.ndarray:
+    return cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] ** 2
+
+
+def _quanta(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """<n> = [var_x + var_y + <x>^2 + <y>^2 - 1]/2, elementwise over stacks."""
+    mx, my = mean[..., 0], mean[..., 1]
+    return 0.5 * (cov[..., 0, 0] + cov[..., 1, 1] + mx * mx + my * my - 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +116,7 @@ class GaussianState:
         return float(self.cov[0, 1])
 
     def det_cov(self) -> float:
-        return float(self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2)
+        return float(_det(self.cov))
 
     def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
         """Uncertainty bound det(cov) >= 1/4 within ``tol``."""
@@ -97,8 +124,7 @@ class GaussianState:
 
     def rotated(self, theta: float) -> "GaussianState":
         """State with phase space rotated by ``theta`` (counterclockwise)."""
-        rot = _rotation(theta)
-        return GaussianState(rot @ self.mean, rot @ self.cov @ rot.T)
+        return GaussianState(*_rotate(self.mean, self.cov, theta))
 
 
 def make_coherent(alpha0: complex) -> GaussianState:
@@ -119,8 +145,7 @@ def make_squeezed(alpha0: complex, s: float, phi: float = 0.0) -> GaussianState:
     alpha0 = complex(alpha0)
     mean = np.array([math.sqrt(2.0) * alpha0.real, math.sqrt(2.0) * alpha0.imag])
     cov0 = np.diag([0.5 * math.exp(-2.0 * s), 0.5 * math.exp(2.0 * s)])
-    rot = _rotation(0.5 * phi)
-    return GaussianState(mean, rot @ cov0 @ rot.T)
+    return GaussianState(mean, _rotate(mean, cov0, 0.5 * phi)[1])
 
 
 def squeeze_from_sigma2(sigma2: float) -> float:
@@ -134,6 +159,24 @@ def squeeze_from_sigma2(sigma2: float) -> float:
     return -0.5 * math.log(sigma2)
 
 
+def _channel(
+    state0: GaussianState, p: PhysicalParams, coeffs: CoefficientGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lab-frame means (n, 2) and covariances (n, 2, 2) at the grid's times.
+
+    mean = e^(-Gamma/2) R(-w0 tau) mean0, cov = e^(-Gamma) R cov0 R^T + Delta_Gamma I.
+    """
+    mean, cov = _rotate(
+        np.broadcast_to(state0.mean, (len(coeffs), 2)),
+        np.broadcast_to(state0.cov, (len(coeffs), 2, 2)),
+        -p.omega0 * coeffs.tau,
+    )
+    decay = np.exp(-coeffs.big_gamma)
+    mean = np.sqrt(decay)[:, None] * mean
+    cov = decay[:, None, None] * cov + coeffs.delta_gamma[:, None, None] * np.eye(2)
+    return mean, cov
+
+
 def propagate(
     state0: GaussianState, p: PhysicalParams, tau: float, tol: float = DEFAULT_TOL
 ) -> GaussianState:
@@ -145,13 +188,8 @@ def propagate(
     tau = float(tau)
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    gt = big_gamma(p, tau)
-    dg = delta_big_gamma(p, tau, tol=tol)
-    rot = _rotation(-p.omega0 * tau)
-    decay = math.exp(-gt)
-    mean = math.sqrt(decay) * (rot @ state0.mean)
-    cov = decay * (rot @ state0.cov @ rot.T) + dg * np.eye(2)
-    return GaussianState(mean, cov)
+    mean, cov = _channel(state0, p, coefficient_grid(p, [tau], tol=tol))
+    return GaussianState(mean[0], cov[0])
 
 
 def mean_quanta(state: GaussianState) -> float:
@@ -160,31 +198,52 @@ def mean_quanta(state: GaussianState) -> float:
         raise ValueError(
             f"state is unphysical: det(cov) = {state.det_cov()!r} < 1/4"
         )
-    mx, my = state.mean
-    return 0.5 * (state.var_x + state.var_y + mx * mx + my * my - 1.0)
+    return float(_quanta(state.mean, state.cov))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled evolution of a Gaussian state (lab frame).
+    """Uniformly sampled evolution of a Gaussian state (lab frame), as arrays.
 
-    ``states[k]`` is the state at ``times[k]``; ``n_mean[k]`` its mean quantum
-    number; ``coeffs[k]`` the coefficient sample.  ``params`` is kept so the
-    free rotation can be undone when corotating-frame variances are needed.
+    At ``times[k]`` the state has mean ``mean[k]`` (shape (n, 2) overall) and
+    covariance ``cov[k]`` (shape (n, 2, 2)), mean quantum number
+    ``n_mean[k]``, and coefficient values ``coeffs.<column>[k]``; `state`
+    returns it as a `GaussianState`.  ``params`` is kept so the free
+    rotation can be undone when corotating-frame moments are needed.  The
+    arrays are stored read-only.
     """
 
     times: np.ndarray
-    states: list[GaussianState]
+    mean: np.ndarray
+    cov: np.ndarray
     n_mean: np.ndarray
-    coeffs: list[CoefficientSample]
+    coeffs: CoefficientGrid
     params: PhysicalParams
 
     def __post_init__(self) -> None:
         n = len(self.times)
-        if not (n == len(self.states) == len(self.n_mean) == len(self.coeffs)):
+        for name, shape in (("times", (n,)), ("mean", (n, 2)), ("cov", (n, 2, 2)),
+                            ("n_mean", (n,))):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"trajectory {name} has shape {arr.shape}, expected {shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if len(self.coeffs) != n:
             raise ValueError("trajectory field lengths differ")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
+
+    def state(self, k: int) -> GaussianState:
+        """The state at ``times[k]`` (lab frame)."""
+        return GaussianState(self.mean[k], self.cov[k])
+
+    def _in_frame(self, frame: str) -> tuple[np.ndarray, np.ndarray]:
+        if frame not in ("lab", "corotating"):
+            raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
+        if frame == "lab":
+            return self.mean, self.cov
+        return _rotate(self.mean, self.cov, self.params.omega0 * self.times)
 
     def variances(self, frame: str = "lab") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(var_x, var_y, cov_xy) arrays in the requested frame.
@@ -192,28 +251,13 @@ class Trajectory:
         ``frame`` is "lab" (as propagated) or "corotating" (free rotation
         e^(-i w0 tau) undone; the frame in which squeezing is defined).
         """
-        if frame not in ("lab", "corotating"):
-            raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
-        states = self.states
-        if frame == "corotating":
-            w0 = self.params.omega0
-            states = [s.rotated(w0 * t) for s, t in zip(states, self.times)]
-        vx = np.array([s.var_x for s in states])
-        vy = np.array([s.var_y for s in states])
-        cxy = np.array([s.cov_xy for s in states])
-        return vx, vy, cxy
+        _, cov = self._in_frame(frame)
+        return cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
 
     def means(self, frame: str = "lab") -> tuple[np.ndarray, np.ndarray]:
         """(mean_x, mean_y) arrays in the requested frame."""
-        if frame not in ("lab", "corotating"):
-            raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
-        states = self.states
-        if frame == "corotating":
-            w0 = self.params.omega0
-            states = [s.rotated(w0 * t) for s, t in zip(states, self.times)]
-        mx = np.array([s.mean[0] for s in states])
-        my = np.array([s.mean[1] for s in states])
-        return mx, my
+        mean, _ = self._in_frame(frame)
+        return mean[:, 0], mean[:, 1]
 
 
 def evolve_trajectory(
@@ -225,8 +269,10 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Propagate on a uniform grid of ``n_steps`` points over [0, tau_max].
 
-    Delta_Gamma is accumulated incrementally across the grid (O(n) quadrature
-    cost); each state is otherwise identical to a single-shot `propagate`.
+    Delta_Gamma is accumulated incrementally across the grid; each state is
+    otherwise identical to a single-shot `propagate`.  Raises ValueError if
+    some state violates the uncertainty bound det(cov) >= 1/4 beyond
+    `PHYSICALITY_TOL`.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps!r}")
@@ -234,18 +280,14 @@ def evolve_trajectory(
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
     times = np.linspace(0.0, tau_max, n_steps)
     coeffs = coefficient_grid(p, times, tol=tol)
-    eye = np.eye(2)
-    states: list[GaussianState] = []
-    n_mean = np.empty(n_steps)
-    for k, cs in enumerate(coeffs):
-        rot = _rotation(-p.omega0 * cs.tau)
-        decay = math.exp(-cs.big_gamma)
-        mean = math.sqrt(decay) * (rot @ state0.mean)
-        cov = decay * (rot @ state0.cov @ rot.T) + cs.delta_gamma * eye
-        state = GaussianState(mean, cov)
-        states.append(state)
-        n_mean[k] = mean_quanta(state)
-    return Trajectory(times, states, n_mean, coeffs, p)
+    mean, cov = _channel(state0, p, coeffs)
+    physical = (_det(cov) >= 0.25 - PHYSICALITY_TOL) & (cov[:, 0, 0] > 0.0)
+    if not physical.all():
+        k = int(np.argmin(physical))
+        raise ValueError(
+            f"state at tau={float(times[k])!r} is unphysical: det(cov) = {float(_det(cov[k]))!r}"
+        )
+    return Trajectory(times, mean, cov, _quanta(mean, cov), coeffs, p)
 
 
 def detect_squeezing_intervals(
@@ -271,20 +313,15 @@ def detect_squeezing_intervals(
         v0, v1 = vals[i - 1], vals[i]
         return float(t0 + (thr - v0) * (t1 - t0) / (v1 - v0))
 
-    intervals: list[tuple[float, float]] = []
-    inside = bool(vals[0] < thr)
-    start = float(times[0]) if inside else 0.0
-    for i in range(1, len(times)):
-        now = bool(vals[i] < thr)
-        if now and not inside:
-            start = cross(i)
-            inside = True
-        elif inside and not now:
-            intervals.append((start, cross(i)))
-            inside = False
-    if inside:
-        intervals.append((start, float(times[-1])))
-    return intervals
+    below = vals < thr
+    # Each change of side opens or closes an interval; a window that starts
+    # or ends squeezed is closed by the grid's first or last time.
+    bounds = [cross(i) for i in (np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
+    if below[0]:
+        bounds.insert(0, float(times[0]))
+    if below[-1]:
+        bounds.append(float(times[-1]))
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 def oscillation_period(samples: Iterable[Sequence[float]]) -> float | None:

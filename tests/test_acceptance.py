@@ -236,10 +236,10 @@ def test_criterion_7_physicality():
     min_det = math.inf
     for state0 in (make_coherent(ALPHA_COHERENT), make_squeezed(0.0, SQUEEZE_S)):
         traj = evolve_trajectory(state0, PARAMS, 1.0, 2001)
-        min_det = min(min_det, min(s.det_cov() for s in traj.states))
+        min_det = min(min_det, min(traj.state(k).det_cov() for k in range(len(traj.times))))
         grid_min = math.inf
         for tau in (0.0,) + CHECK_TIMES:
-            st = traj.states[0] if tau == 0.0 else propagate(state0, PARAMS, tau)
+            st = traj.state(0) if tau == 0.0 else propagate(state0, PARAMS, tau)
             w = wigner_gaussian(st, GridSpec.cover_state(st))
             grid_min = min(grid_min, float(w.values.min()))
     checks = {

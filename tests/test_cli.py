@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qbrownian import cli
 from qbrownian.cli import main
 from qbrownian.coefficients import PhysicalParams, delta_coeff, gamma_coeff
 from qbrownian.quadrature import IntegrationError
@@ -132,6 +134,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["coeffs", "--config", str(cfg_file)]) == 2
 
 
+def test_config_file_rejects_non_integral_counts(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    for key in ("steps", "nx", "ny"):
+        cfg_file.write_text(json.dumps({key: 2.7}))
+        assert main(["coeffs", "--config", str(cfg_file), "--dump-config"]) == 2
+    assert capsys.readouterr().err.count("must be an integer") == 3
+    cfg_file.write_text(json.dumps({"steps": 300.0}))
+    assert main(["coeffs", "--config", str(cfg_file), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 300
+
+
 def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert main(["moments", "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["moments", "--sigma2", "-1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -146,6 +159,34 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("qbrownian.cli.coefficient_grid", blow_up)
     assert main(["coeffs", "--out", str(tmp_path / "c.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
+    def overflow(cfg):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", overflow)
+    assert main(["coeffs", "--out", str(tmp_path / "c.csv")]) == 3
+    assert "numerical failure: math range error" in capsys.readouterr().err
+    # while the input is still being read, an arithmetic error is bad input
+    assert main(["coeffs", "--wc-over-2pikt", "0", "--dump-config"]) == 2
+
+
+def test_edge_inputs_succeed(tmp_path):
+    # far past the transient, where exp(Gamma) overflows a double
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--tau-max", "1e6", "--steps", "10", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert all(math.isfinite(v) for row in rows for v in row)
+    kt_r = 0.05 / (2.0 * math.pi * 3.0e-5)
+    assert abs(rows[-1][4] / kt_r - 1.0) <= 1e-12
+    # r = 0.001: a thousand oscillation periods per unit of tau
+    assert main(["wigner", "--r", "0.001", "--times", "0.27,0.3,0.45,0.5", "--nx", "21",
+                 "--ny", "21", "--out", str(tmp_path / "w.csv")]) == 0
+    start = time.process_time()
+    assert main(["moments", "--tau-max", "2e6", "--steps", "10",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert time.process_time() - start < 1.0
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

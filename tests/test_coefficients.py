@@ -1,19 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qbrownian.coefficients import (
-    CoefficientSample,
     PhysicalParams,
     big_gamma,
     classify_lindblad,
+    closed_forms,
     coefficient_grid,
     delta_big_gamma,
     delta_coeff,
     gamma_coeff,
 )
-from qbrownian.quadrature import IntegrationError, QuadratureResult, integrate_adaptive
+from qbrownian.quadrature import IntegrationError, integrate_adaptive
 
 FIG1 = PhysicalParams(g=0.1, r=0.05, kt_over_wc=1.0 / (2.0 * math.pi * 3.0e-5))
 
@@ -145,13 +146,14 @@ def test_damped_diffusion_derivative_identity():
 
 def test_grid_matches_pointwise_evaluation():
     taus = np.linspace(0.0, 1.0, 51)
-    samples = coefficient_grid(FIG1, taus)
-    assert len(samples) == 51
-    for s in samples[::10]:
-        assert s.delta == delta_coeff(FIG1, s.tau)
-        assert s.gamma == gamma_coeff(FIG1, s.tau)
-        assert s.big_gamma == big_gamma(FIG1, s.tau)
-        assert s.delta_gamma == pytest.approx(delta_big_gamma(FIG1, s.tau), abs=1e-9)
+    grid = coefficient_grid(FIG1, taus)
+    assert len(grid) == 51
+    for k in range(0, 51, 10):
+        tau = grid.tau[k]
+        assert grid.delta[k] == delta_coeff(FIG1, tau)
+        assert grid.gamma[k] == gamma_coeff(FIG1, tau)
+        assert grid.big_gamma[k] == big_gamma(FIG1, tau)
+        assert grid.delta_gamma[k] == pytest.approx(delta_big_gamma(FIG1, tau), abs=1e-9)
 
 
 def test_grid_validation():
@@ -159,18 +161,104 @@ def test_grid_validation():
         coefficient_grid(FIG1, [0.0, 0.5, 0.5])
     with pytest.raises(ValueError):
         coefficient_grid(FIG1, [-0.1, 0.5])
-    assert coefficient_grid(FIG1, []) == []
+    assert len(coefficient_grid(FIG1, [])) == 0
     only = coefficient_grid(FIG1, [0.25])
-    assert len(only) == 1 and only[0].tau == 0.25
+    assert len(only) == 1 and only.tau[0] == 0.25
 
 
 def test_nonconverged_quadrature_surfaces_tau(monkeypatch):
-    def never_converges(*args, **kwargs):
-        return QuadratureResult(0.0, 1.0, 12, False)
+    def never_converges(f, a, b):
+        # error estimate equal to the integral of |f|: no tolerance below 1 holds
+        ones = np.ones(len(a))
+        return 0.0 * ones, ones, ones
 
-    monkeypatch.setattr("qbrownian.coefficients.integrate_adaptive", never_converges)
+    monkeypatch.setattr("qbrownian.coefficients.integrate_panels", never_converges)
     with pytest.raises(IntegrationError, match="0.45"):
         delta_big_gamma(FIG1, 0.45)
+
+
+def test_scalar_functions_equal_array_kernel_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for p in (FIG1, PhysicalParams(g=0.3, r=1.7, kt_over_wc=20.0)):
+        taus = np.sort(rng.uniform(0.0, 60.0, size=4001))
+        delta, gamma, big = closed_forms(p, taus)
+        for k in range(0, taus.size, 7):
+            tau = float(taus[k])
+            assert delta_coeff(p, tau) == delta[k]
+            assert gamma_coeff(p, tau) == gamma[k]
+            assert big_gamma(p, tau) == big[k]
+
+
+def test_grid_delta_gamma_matches_single_shot():
+    for p in (FIG1, PhysicalParams(g=0.1, r=1.0, kt_over_wc=FIG1.kt_over_wc)):
+        for tau_max, n in ((1.0, 2000), (50.0, 1001), (300.0, 7)):
+            grid = coefficient_grid(p, np.linspace(0.0, tau_max, n))
+            for k in range(1, n, max(1, n // 40)):
+                one = delta_big_gamma(p, float(grid.tau[k]))
+                assert abs(grid.delta_gamma[k] / one - 1.0) <= 1e-13
+
+
+def _mp_delta_gamma(r, taus):
+    """Delta_Gamma at increasing taus for g = 0.1 and the FIG1 temperature, by
+    30-digit mpmath.quad of the unshifted integral exp(Gamma) * Delta.
+
+    Gauss-Legendre on pieces of four oscillation periods up to tau = 45 (the
+    transient), one piece after it; Delta and Gamma are written out here in
+    mpmath, independently of the package's kernel.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    g, kt, r = mp.mpf("0.1"), mp.mpf(FIG1.kt_over_wc), mp.mpf(r)
+    w = 1 / r
+    a_delta = 2 * g**2 * kt * r**2 / (1 + r**2)
+    a_gamma = g**2 * r / (1 + r**2)
+
+    def big(s):
+        e, c, sn = mp.exp(-s), mp.cos(w * s), mp.sin(w * s)
+        int_cos = (1 - e * (c - w * sn)) / (1 + w**2)
+        int_sin = (w - e * (sn + w * c)) / (1 + w**2)
+        return 2 * a_gamma * (s - int_cos - r * int_sin)
+
+    def f(s):
+        delta = a_delta * (1 - mp.exp(-s) * (mp.cos(w * s) - w * mp.sin(w * s)))
+        return mp.exp(big(s)) * delta
+
+    piece = 4 * 2 * mp.pi * r
+    out, total, prev = [], mp.mpf(0), mp.mpf(0)
+    for tau in taus:
+        t = mp.mpf(tau)
+        osc_end = min(t, mp.mpf(45))
+        pts = [prev]
+        if osc_end > prev:
+            n = int(mp.ceil((osc_end - prev) / piece))
+            pts = [prev + (osc_end - prev) * k / n for k in range(n + 1)]
+        if t > pts[-1]:
+            pts.append(t)
+        total += mp.quad(f, pts, method="gauss-legendre")
+        prev = t
+        out.append(float(total * mp.exp(-big(t))))
+    return out
+
+
+# _mp_delta_gamma(0.001, (0.01, 0.27, 0.45, 5, 40, 200))[3:], frozen: the
+# 6400 oscillation periods of the r = 0.001 transient take half a minute.
+MP_DG_R0001 = {
+    5.0: 0.0006364720960360527035376602,
+    40.0: 0.004348447973582974357994684,
+    200.0: 0.02128393204161394232430822,
+}
+
+
+def test_delta_gamma_matches_mpmath():
+    taus = (0.01, 0.27, 0.45, 5.0, 40.0, 200.0)
+    for r in (0.001, 0.05, 1.0):
+        p = PhysicalParams(g=0.1, r=r, kt_over_wc=FIG1.kt_over_wc)
+        live = taus[:3] if r == 0.001 else taus
+        refs = dict(zip(live, _mp_delta_gamma(r, live)))
+        if r == 0.001:
+            refs.update(MP_DG_R0001)
+        for tau in taus:
+            assert abs(delta_big_gamma(p, tau) / refs[tau] - 1.0) <= 1e-12, (r, tau)
 
 
 def test_classification_fig1_is_not_lindblad_type():

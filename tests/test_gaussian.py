@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.coefficients import PhysicalParams, big_gamma, delta_big_gamma
+from qbrownian.coefficients import PhysicalParams, big_gamma, coefficient_grid, delta_big_gamma
 from qbrownian.gaussian import (
     GaussianState,
     Trajectory,
@@ -112,9 +112,9 @@ def test_mean_quanta_closed_form_along_trajectory():
     # <n>(tau) = e^-Gamma n0 + Delta_Gamma + (e^-Gamma - 1)/2
     n0 = 3.0
     traj = evolve_trajectory(make_coherent(math.sqrt(3.0)), FIG1, 1.0, 41)
-    for k, cs in enumerate(traj.coeffs):
-        decay = math.exp(-cs.big_gamma)
-        want = decay * n0 + cs.delta_gamma + 0.5 * (decay - 1.0)
+    for k in range(len(traj.times)):
+        decay = math.exp(-traj.coeffs.big_gamma[k])
+        want = decay * n0 + traj.coeffs.delta_gamma[k] + 0.5 * (decay - 1.0)
         assert traj.n_mean[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -122,8 +122,8 @@ def test_trajectory_endpoint_matches_single_shot():
     st = make_squeezed(1.0 + 1.0j, SQUEEZE_S)
     traj = evolve_trajectory(st, FIG1, 0.45, 46)
     one = propagate(st, FIG1, 0.45)
-    np.testing.assert_allclose(traj.states[-1].cov, one.cov, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(traj.states[-1].mean, one.mean, rtol=1e-12)
+    np.testing.assert_allclose(traj.state(-1).cov, one.cov, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(traj.state(-1).mean, one.mean, rtol=1e-12)
     assert traj.times[0] == 0.0 and traj.times[-1] == 0.45 and len(traj.times) == 46
 
 
@@ -141,10 +141,11 @@ def test_corotating_frame_undoes_free_rotation_exactly():
     st = make_squeezed(1.0 + 1.0j, SQUEEZE_S)
     traj = evolve_trajectory(st, FIG1, 0.5, 51)
     vx, vy, cxy = traj.variances(frame="corotating")
-    for k, cs in enumerate(traj.coeffs):
-        decay = math.exp(-cs.big_gamma)
-        assert vx[k] == pytest.approx(decay * 0.05 + cs.delta_gamma, rel=1e-12, abs=1e-14)
-        assert vy[k] == pytest.approx(decay * 5.0 + cs.delta_gamma, rel=1e-12)
+    for k in range(len(traj.times)):
+        decay = math.exp(-traj.coeffs.big_gamma[k])
+        dg = traj.coeffs.delta_gamma[k]
+        assert vx[k] == pytest.approx(decay * 0.05 + dg, rel=1e-12, abs=1e-14)
+        assert vy[k] == pytest.approx(decay * 5.0 + dg, rel=1e-12)
         assert abs(cxy[k]) < 1e-12
     # coherent-state covariance is isotropic, so both frames agree on it
     iso = evolve_trajectory(make_coherent(1.0), FIG1, 0.5, 11)
@@ -162,8 +163,9 @@ def test_means_decay_and_rotate():
     mx, my = traj.means(frame="corotating")
     # corotating means only decay: direction fixed, magnitude e^(-Gamma/2)
     assert abs(my).max() < 1e-12
-    for k, cs in enumerate(traj.coeffs):
-        assert mx[k] == pytest.approx(math.sqrt(6.0) * math.exp(-0.5 * cs.big_gamma), rel=1e-12)
+    for k in range(len(traj.times)):
+        want = math.sqrt(6.0) * math.exp(-0.5 * traj.coeffs.big_gamma[k])
+        assert mx[k] == pytest.approx(want, rel=1e-12)
     lab_mx, lab_my = traj.means(frame="lab")
     assert abs(lab_my).max() > 1.0  # the lab frame sees the rotation
 
@@ -180,7 +182,7 @@ def test_uncertainty_bound_saturates_for_pure_states():
     st = make_squeezed(1.0 + 1.0j, SQUEEZE_S)
     assert st.det_cov() == pytest.approx(0.25, rel=1e-14)
     traj = evolve_trajectory(st, FIG1, 0.5, 501)
-    dets = np.array([s.det_cov() for s in traj.states])
+    dets = np.array([traj.state(k).det_cov() for k in range(len(traj.times))])
     assert dets.min() >= 0.25 - 1e-9
     assert dets[1:].min() > 0.25  # added noise lifts the state off the bound
 
@@ -239,4 +241,5 @@ def test_trajectory_field_length_validation():
     times = np.array([0.0, 0.1])
     st = make_coherent(1.0)
     with pytest.raises(ValueError):
-        Trajectory(times, [st], np.array([1.0, 1.0]), [], FIG1)
+        Trajectory(times, st.mean[None, :], st.cov[None], np.array([1.0, 1.0]),
+                   coefficient_grid(FIG1, times[:1]), FIG1)
