@@ -33,8 +33,6 @@ from .gaussian import (
 )
 from .quadrature import (
     IntegrationError,
-    QuadratureResult,
-    integrate_adaptive,
     integrate_fixed,
     integrate_panels,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "IntegrationError",
     "LindbladClassification",
     "PhysicalParams",
-    "QuadratureResult",
     "Trajectory",
     "WignerGrid",
     "big_gamma",
@@ -72,7 +69,6 @@ __all__ = [
     "evolve_trajectory",
     "gamma_coeff",
     "grid_moments",
-    "integrate_adaptive",
     "integrate_fixed",
     "integrate_panels",
     "make_coherent",

@@ -86,8 +86,8 @@ class RunConfig:
             raise ValueError(f"nx/ny must be >= 1, got {self.nx!r}, {self.ny!r}")
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         for t in self.tau_list():
             if t < 0.0:
                 raise ValueError(f"wigner times must be >= 0, got {t!r}")
@@ -110,11 +110,6 @@ class RunConfig:
             return [float(s) for s in self.times.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ValueError(f"cannot parse times list {self.times!r}") from exc
-
-
-def _fmt(v: float) -> str:
-    """Shortest round-trip decimal representation of a 64-bit float."""
-    return repr(float(v))
 
 
 def _load_config_file(path: str) -> dict:
@@ -173,7 +168,7 @@ def _csv(header: str, columns) -> str:
     """CSV text: the header, then one row per index of the equal-length columns.
 
     ``tolist()`` turns the columns into Python floats, whose ``repr`` is the
-    text `_fmt` writes.
+    shortest decimal text that reads back to the same double.
     """
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
@@ -232,14 +227,13 @@ def cmd_moments(cfg: RunConfig) -> None:
 
 
 def _grid_csv(grid) -> str:
+    """Header ``# x_min,x_max,y_min,y_max,nx,ny``, then one row per y node."""
     s = grid.spec
-    header = "# " + ",".join(
-        [_fmt(s.x_min), _fmt(s.x_max), _fmt(s.y_min), _fmt(s.y_max), str(s.nx), str(s.ny)]
-    )
-    lines = [header]
-    for iy in range(s.ny):
-        lines.append(",".join(_fmt(v) for v in grid.values[:, iy]))
-    return "\n".join(lines) + "\n"
+    # Python floats: under NumPy 2 the repr of an np.float64 extent is not bare.
+    extents = [float(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)]
+    header = "# " + ",".join([*map(repr, extents), str(s.nx), str(s.ny)])
+    # Row ix of values is the x column, so row iy of the file holds W(x_*, y_iy).
+    return _csv(header, grid.values)
 
 
 def _grid_json(grid) -> str:
@@ -252,7 +246,7 @@ def _grid_json(grid) -> str:
             "y_max": s.y_max,
             "nx": s.nx,
             "ny": s.ny,
-            "values": [list(grid.values[:, iy]) for iy in range(s.ny)],
+            "values": grid.values.T.tolist(),
             "version": __version__,
         }
     )

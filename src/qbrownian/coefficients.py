@@ -214,13 +214,17 @@ def _delta_gamma(
     # the growth of exp(Gamma), whose rate 2*gamma is below 2 g^2 r (2+r)/(1+r^2).
     rate = max(1.0 / p.r, 1.0, 2.0 * p.g * p.g * p.r * (2.0 + p.r) / (1.0 + p.r * p.r))
     width = split - starts
-    n_panels = np.ceil(width * (2.0 * rate)).astype(np.int64)
-    total = int(n_panels.sum())
-    if total > _MAX_PANELS:
+    counts = np.ceil(width * (2.0 * rate))
+    total = counts.sum()
+    # Checked as floats: for huge g an int64 count wraps round to negative,
+    # and an infinite rate gives inf or NaN counts.
+    if not (total <= _MAX_PANELS):
         raise IntegrationError(
-            f"Delta_Gamma quadrature up to tau={float(taus[-1])!r} needs {total} "
-            f"panels, more than the limit of {_MAX_PANELS}"
+            f"Delta_Gamma quadrature up to tau={float(taus[-1])!r} needs "
+            f"{total:.4g} panels, more than the limit of {_MAX_PANELS}"
         )
+    n_panels = counts.astype(np.int64)
+    total = int(total)
     seg = np.repeat(np.arange(taus.size), n_panels)
     index = np.arange(total) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
     scale = width[seg] / n_panels[seg]

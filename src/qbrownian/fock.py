@@ -115,22 +115,20 @@ class _RhsWork:
 
     def __init__(self, dim: int) -> None:
         n = np.arange(dim, dtype=float)
-        root = np.sqrt(n + 1.0)
-        # a rho a^dag shifts indices down: out[i, j] = sqrt((i+1)(j+1)) rho[i+1, j+1]
-        self.down = np.outer(root[:-1], root[:-1])
-        # a^dag rho a shifts indices up: out[i, j] = sqrt(i j) rho[i-1, j-1]
-        self.up = np.outer(np.sqrt(n[1:]), np.sqrt(n[1:]))
-        self.half_n_sum = 0.5 * (n[:, None] + n[None, :])
-        self.half_n1_sum = self.half_n_sum + 1.0
+        root = np.sqrt(n[1:])
+        # Both jumps shift indices by one with the same weight sqrt((i+1)(j+1)):
+        # a rho a^dag gives out[i, j] from rho[i+1, j+1], a^dag rho a gives
+        # out[i+1, j+1] from rho[i, j].
+        self.shift = np.outer(root, root)
+        self.n_sum = n[:, None] + n[None, :]
 
     def rhs(self, rho: np.ndarray, delta: float, gamma: float) -> np.ndarray:
-        d_down = np.zeros_like(rho)
-        d_down[:-1, :-1] = self.down * rho[1:, 1:]
-        d_down -= self.half_n_sum * rho
-        d_up = np.zeros_like(rho)
-        d_up[1:, 1:] = self.up * rho[:-1, :-1]
-        d_up -= self.half_n1_sum * rho
-        return (delta + gamma) * d_down + (delta - gamma) * d_up
+        # The anticommutator terms of both jumps add up to
+        # -(Delta (n_i + n_j) + Delta - gamma) rho[i, j].
+        out = (-delta * self.n_sum - (delta - gamma)) * rho
+        out[:-1, :-1] += ((delta + gamma) * self.shift) * rho[1:, 1:]
+        out[1:, 1:] += ((delta - gamma) * self.shift) * rho[:-1, :-1]
+        return out
 
 
 def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:

@@ -1,28 +1,19 @@
-"""1-D quadrature: Gauss-Legendre panels, adaptive Simpson, fixed-grid Simpson.
+"""1-D quadrature: Gauss-Legendre panels for the library, fixed-grid Simpson as the check.
 
 `integrate_panels` applies a fixed pair of Gauss-Legendre rules to many
-panels at once on arrays; the library's Delta_Gamma integral runs on it.  The
-adaptive routine is a classic recursive Simpson scheme with Richardson
-correction, kept as an independent scalar integrator for tests; the
-fixed-grid routine is composite Simpson on a uniform mesh.  Tests use the
-fixed-grid integrator as an independent cross-check of the other two, so
-they must never share code paths.
+panels at once on arrays, with an error estimate per panel; the library's
+Delta_Gamma integral runs on it.  `integrate_fixed` is composite Simpson on a
+uniform mesh, evaluated point by point in plain Python.  Tests use it as the
+independent cross-check of the library's integrals, so the two must never
+share code paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-# Absolute accuracy floor: integrals near zero are accepted once the error
-# estimate drops below this, regardless of the relative tolerance.
-ABS_FLOOR = 1e-14
-
-# Hard cap on integrand evaluations, independent of the recursion-depth cap.
-MAX_EVALS = 10**6
 
 
 class IntegrationError(Exception):
@@ -33,129 +24,11 @@ class IntegrationError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Outcome of an adaptive integration.
-
-    Attributes
-    ----------
-    value : float
-        Estimate of the integral.
-    error_estimate : float
-        Accumulated Richardson error estimate (non-negative).
-    evaluations : int
-        Number of integrand evaluations performed.
-    converged : bool
-        True iff no subdivision/evaluation cap was hit and the final error
-        estimate satisfies error_estimate <= max(tol*|value|, ABS_FLOOR).
-    """
-
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-
-
 def _checked_call(f: Callable[[float], float], x: float) -> float:
     v = float(f(x))
     if not math.isfinite(v):
         raise IntegrationError(f"integrand returned non-finite value {v!r} at x={x!r}")
     return v
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_subdiv: int = 50,
-) -> QuadratureResult:
-    """Estimate the integral of ``f`` over ``[a, b]`` by adaptive Simpson.
-
-    Parameters
-    ----------
-    f : callable
-        Real-valued integrand of one real variable.
-    a, b : float
-        Integration limits, a <= b.
-    tol : float
-        Relative tolerance target; accuracy bottoms out at ``ABS_FLOOR``
-        absolute for integrals near zero.
-    max_subdiv : int
-        Maximum recursion depth; on top of this, at most ``MAX_EVALS``
-        integrand evaluations are spent.
-
-    Returns
-    -------
-    QuadratureResult
-        ``converged`` is False when a cap was hit or the accumulated error
-        estimate failed the tolerance check against the final value.
-
-    Raises
-    ------
-    ValueError
-        If a > b or tol <= 0.
-    IntegrationError
-        If the integrand returns NaN or infinity anywhere it is sampled.
-    """
-    if a > b:
-        raise ValueError(f"integration limits must satisfy a <= b, got a={a!r}, b={b!r}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0, True)
-
-    evals = 0
-
-    def feval(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _checked_call(f, x)
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = feval(a), feval(m), feval(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    capped = False
-
-    def recurse(x0: float, x2: float, f0: float, f1: float, f2: float,
-                s_whole: float, eps: float, depth: int) -> tuple[float, float]:
-        # Returns (value, error_estimate) for [x0, x2]; f1 is f at the midpoint.
-        # eps is the leaf accuracy budget, halved per split so accepted leaves
-        # sum to at most the global budget.
-        nonlocal capped
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = feval(xl)
-        fr = feval(xr)
-        h = x2 - x0
-        s_left = h / 12.0 * (f0 + 4.0 * fl + f1)
-        s_right = h / 12.0 * (f1 + 4.0 * fr + f2)
-        s_halves = s_left + s_right
-        err = abs(s_halves - s_whole) / 15.0
-        if err <= eps or depth >= max_subdiv or evals + 4 > MAX_EVALS:
-            if err > eps:
-                capped = True
-            # Richardson-corrected leaf value.
-            return s_halves + (s_halves - s_whole) / 15.0, err
-        vl, el = recurse(x0, xm, f0, fl, f1, s_left, 0.5 * eps, depth + 1)
-        vr, er = recurse(xm, x2, f1, fr, f2, s_right, 0.5 * eps, depth + 1)
-        return vl + vr, el + er
-
-    # The error budget needs |integral|, which is only known afterwards: seed
-    # it from the coarse estimate and retry tighter when cancellation makes
-    # the refined value smaller than the seed (oscillatory integrands).
-    eps0 = max(tol * abs(whole), ABS_FLOOR)
-    for _ in range(4):
-        capped = False
-        value, err = recurse(a, b, fa, fm, fb, whole, eps0, 0)
-        target = max(tol * abs(value), ABS_FLOOR)
-        if capped or err <= target:
-            break
-        eps0 = 0.5 * target
-    converged = (not capped) and err <= max(tol * abs(value), ABS_FLOOR)
-    return QuadratureResult(value, err, evals, converged)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +89,7 @@ def integrate_fixed(f: Callable[[float], float], a: float, b: float, panels: int
     """Composite Simpson on a uniform grid (test oracle, no adaptivity).
 
     ``panels`` is rounded up to the next even integer. Non-finite integrand
-    values raise IntegrationError, as in the adaptive routine.
+    values raise IntegrationError naming the abscissa.
     """
     if a > b:
         raise ValueError(f"integration limits must satisfy a <= b, got a={a!r}, b={b!r}")

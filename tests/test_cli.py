@@ -8,7 +8,16 @@ import pytest
 from qbrownian import cli
 from qbrownian.cli import main
 from qbrownian.coefficients import PhysicalParams, delta_coeff, gamma_coeff
+from qbrownian.gaussian import make_coherent, make_squeezed, propagate, squeeze_from_sigma2
 from qbrownian.quadrature import IntegrationError
+from qbrownian.wigner import GridSpec, wigner_gaussian
+
+FIG1 = PhysicalParams(g=0.1, r=0.05, kt_over_wc=1.0 / (2.0 * math.pi * 3.0e-5))
+
+
+def expected_wigner(state0, tau, nx, ny):
+    state = propagate(state0, FIG1, tau)
+    return wigner_gaussian(state, GridSpec.cover_state(state, n_sigma=6.0, nx=nx, ny=ny))
 
 
 def read_csv(path):
@@ -149,7 +158,9 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert main(["moments", "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["moments", "--sigma2", "-1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["coeffs", "--r", "0", "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err.count("error:") == 3
+    assert main(["coeffs", "--tol=nan", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["coeffs", "--tol=inf", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.count("error:") == 5
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -159,6 +170,10 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("qbrownian.cli.coefficient_grid", blow_up)
     assert main(["coeffs", "--out", str(tmp_path / "c.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a panel count too large for int64 must still hit the panel cap
+    assert main(["coeffs", "--g=1e150", "--steps=5", "--out", str(tmp_path / "c.csv")]) == 3
+    assert "panels" in capsys.readouterr().err
 
 
 def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -201,7 +216,7 @@ def test_wigner_grid_files(tmp_path):
     rc = main(["wigner", "--state", "coherent", "--alpha-re", "1",
                "--times", "0,0.3", "--nx", "41", "--ny", "41", "--out", str(stem)])
     assert rc == 0
-    for name in ("w_tau0.csv", "w_tau0.3.csv"):
+    for name, tau in (("w_tau0.csv", 0.0), ("w_tau0.3.csv", 0.3)):
         path = tmp_path / name
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# ")
@@ -213,6 +228,12 @@ def test_wigner_grid_files(tmp_path):
         dy = (float(y_max) - float(y_min)) / 41
         assert vals.sum() * dx * dy == pytest.approx(1.0, abs=1e-5)
         assert np.all(vals >= 0.0)
+        # the file round-trips bit for bit to the grid it was written from
+        want = expected_wigner(make_coherent(1.0), tau, 41, 41)
+        s = want.spec
+        extents = [repr(float(v)) for v in (s.x_min, s.x_max, s.y_min, s.y_max)]
+        assert lines[0] == "# " + ",".join([*extents, "41", "41"])
+        assert np.array_equal(vals, want.values)
 
 
 def test_wigner_json_grid(tmp_path):
@@ -223,6 +244,13 @@ def test_wigner_json_grid(tmp_path):
     data = json.loads((tmp_path / "w_tau0.15.json").read_text())
     assert (data["nx"], data["ny"]) == (21, 31)
     assert len(data["values"]) == 31 and len(data["values"][0]) == 21
+    # every cell and extent round-trips bit for bit; values[iy][ix] = W(x_ix, y_iy)
+    want = expected_wigner(make_squeezed(0.0, squeeze_from_sigma2(0.1)), 0.15, 21, 31)
+    s = want.spec
+    assert [data[k] for k in ("x_min", "x_max", "y_min", "y_max")] == [
+        float(s.x_min), float(s.x_max), float(s.y_min), float(s.y_max)
+    ]
+    assert np.array_equal(np.array(data["values"]).T, want.values)
 
 
 def test_classify_json(tmp_path):

@@ -3,76 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.coefficients import PhysicalParams, big_gamma, delta_coeff, gamma_coeff
-from qbrownian.quadrature import (
-    ABS_FLOOR,
-    IntegrationError,
-    QuadratureResult,
-    integrate_adaptive,
-    integrate_fixed,
-    integrate_panels,
-)
+from qbrownian.coefficients import PhysicalParams, big_gamma, gamma_coeff
+from qbrownian.quadrature import IntegrationError, integrate_fixed, integrate_panels
 
 FIG1 = PhysicalParams(g=0.1, r=0.05, kt_over_wc=1.0 / (2.0 * math.pi * 3.0e-5))
-
-
-def test_constant_is_exact():
-    res = integrate_adaptive(lambda x: 1.0, 0.0, 2.0)
-    assert res.value == 2.0
-    assert res.converged
-
-
-def test_sin_over_half_period():
-    res = integrate_adaptive(math.sin, 0.0, math.pi, tol=1e-12)
-    assert abs(res.value - 2.0) < 1e-12
-    assert res.converged
-    # converged promises the error estimate met the relative tolerance
-    assert res.error_estimate <= max(1e-12 * abs(res.value), ABS_FLOOR)
-
-
-def test_zero_integral_hits_absolute_floor():
-    # Cancellation drives the value to ~0; relative tolerance alone would
-    # never be satisfiable there.
-    res = integrate_adaptive(math.sin, 0.0, 2.0 * math.pi, tol=1e-10)
-    assert abs(res.value) < 1e-12
-    assert res.converged
-
-
-def test_linearity():
-    rng = np.random.default_rng(42)
-    alpha, beta = rng.uniform(-2.0, 2.0, size=2)
-    f = math.sin
-    g = math.exp
-    combo = integrate_adaptive(lambda x: alpha * f(x) + beta * g(x), 0.0, 1.5, tol=1e-11)
-    fa = integrate_adaptive(f, 0.0, 1.5, tol=1e-11)
-    ga = integrate_adaptive(g, 0.0, 1.5, tol=1e-11)
-    assert abs(combo.value - (alpha * fa.value + beta * ga.value)) < 1e-9
-
-
-def test_interval_additivity():
-    rng = np.random.default_rng(3)
-    for c in rng.uniform(0.1, math.pi - 0.1, size=5):
-        left = integrate_adaptive(math.sin, 0.0, float(c), tol=1e-11)
-        right = integrate_adaptive(math.sin, float(c), math.pi, tol=1e-11)
-        whole = integrate_adaptive(math.sin, 0.0, math.pi, tol=1e-11)
-        assert abs(left.value + right.value - whole.value) < 2e-10
-
-
-def test_adaptive_and_fixed_agree_on_smooth_integrand():
-    adaptive = integrate_adaptive(math.exp, 0.0, 1.0, tol=1e-11)
-    fixed = integrate_fixed(math.exp, 0.0, 1.0, 10_000)
-    assert abs(adaptive.value - fixed) < 1e-9
-
-
-def test_damped_diffusion_integrand_matches_fixed_oracle():
-    # the integrand whose antiderivative feeds the added-noise coefficient
-    def f(s):
-        return math.exp(big_gamma(FIG1, s)) * delta_coeff(FIG1, s)
-
-    adaptive = integrate_adaptive(f, 0.0, 0.45, tol=1e-10)
-    oracle = integrate_fixed(f, 0.0, 0.45, 100_000)
-    assert adaptive.converged
-    assert abs(adaptive.value - oracle) < 1e-8
 
 
 def test_fixed_gamma_integral_matches_closed_form():
@@ -104,38 +38,10 @@ def test_nonfinite_integrand_reports_abscissa():
         return float("nan") if x == 0.5 else 1.0
 
     with pytest.raises(IntegrationError, match="0.5"):
-        integrate_adaptive(bad, 0.0, 1.0)
-    with pytest.raises(IntegrationError, match="0.5"):
         integrate_fixed(bad, 0.0, 1.0, 10)
 
 
-def test_nonfinite_found_during_refinement():
-    # 0.25 is only sampled once the interval splits
-    def bad(x):
-        return float("inf") if x == 0.25 else math.cos(40.0 * x)
-
-    with pytest.raises(IntegrationError, match="0.25"):
-        integrate_adaptive(bad, 0.0, 1.0)
-
-
-def test_depth_cap_reports_not_converged():
-    res = integrate_adaptive(math.sin, 0.0, math.pi, tol=1e-14, max_subdiv=2)
-    assert not res.converged
-
-
-def test_evaluation_cap_reports_not_converged():
-    # far more structure than 1e6 samples can resolve at this tolerance
-    res = integrate_adaptive(lambda x: math.sin(1e7 * x), 0.0, 1.0, tol=1e-12)
-    assert not res.converged
-    # in-flight splits may finish, so the cap can overshoot by O(depth)
-    assert res.evaluations <= 1_000_200
-
-
 def test_precondition_errors():
-    with pytest.raises(ValueError):
-        integrate_adaptive(math.sin, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate_adaptive(math.sin, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         integrate_fixed(math.sin, 1.0, 0.0, 10)
     with pytest.raises(ValueError):
@@ -143,8 +49,6 @@ def test_precondition_errors():
 
 
 def test_empty_interval():
-    res = integrate_adaptive(math.sin, 1.0, 1.0)
-    assert res == QuadratureResult(0.0, 0.0, 0, True)
     assert integrate_fixed(math.sin, 1.0, 1.0, 4) == 0.0
 
 
