@@ -82,11 +82,25 @@ class PhysicalParams:
             raise ValueError(
                 f"kt_over_wc must be finite and > 0, got {self.kt_over_wc!r}"
             )
+        pref_delta, pref_gamma = self.prefactors
+        if not (math.isfinite(pref_delta) and math.isfinite(pref_gamma)):
+            raise ValueError(
+                f"rate prefactors 2 g^2 (kT/omega_c) r^2/(1+r^2) = {pref_delta!r} and "
+                f"g^2 r/(1+r^2) = {pref_gamma!r} must be finite, got g = {self.g!r}, "
+                f"kt_over_wc = {self.kt_over_wc!r}"
+            )
 
     @property
     def omega0(self) -> float:
         """Oscillator frequency in units of omega_c (= 1/r)."""
         return 1.0 / self.r
+
+    @property
+    def prefactors(self) -> tuple[float, float]:
+        """Plateaus of Delta and gamma: 2 g^2 (kT/omega_c) r^2/(1+r^2), g^2 r/(1+r^2)."""
+        g2 = self.g * self.g
+        r = self.r
+        return 2.0 * g2 * self.kt_over_wc * ((r * r) / (1.0 + r * r)), g2 * (r / (1.0 + r * r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +149,7 @@ def closed_forms(
     """
     tau = np.asarray(tau, dtype=float)
     w = 1.0 / p.r
-    g2 = p.g * p.g
-    pref_delta = 2.0 * g2 * p.kt_over_wc * ((p.r * p.r) / (1.0 + p.r * p.r))
-    pref_gamma = g2 * (p.r / (1.0 + p.r * p.r))
+    pref_delta, pref_gamma = p.prefactors
     e = np.exp(-tau)
     c = np.cos(w * tau)
     s = np.sin(w * tau)

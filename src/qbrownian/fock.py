@@ -12,6 +12,13 @@ oscillator, so moments computed from rho are corotating-frame moments and the
 e^(-i w0 tau) rotation must be applied separately when lab-frame means are
 wanted.
 
+The equation couples rho[i, j] only to rho[i-1, j-1] and rho[i+1, j+1], so
+every diagonal band j - i = d evolves on its own, and rho stays Hermitian.
+The integrator therefore evolves only the bands d >= 0, packed band after
+band into one vector of dim (dim + 1) / 2 entries, and rebuilds the full
+matrix at recorded samples; `me_rhs` applies the same packed right-hand side
+and returns the full matrix.
+
 Fixed-step classical RK4 is used on purpose (reproducibility over speed);
 the guidance dt <= 1e-3 * min(1, r) keeps it comfortably inside the
 stability region for the default parameter ranges.
@@ -23,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from .coefficients import PhysicalParams, closed_forms
@@ -111,24 +119,76 @@ def make_squeezed_fock(s: float, dim: int) -> FockState:
 
 
 class _RhsWork:
-    """Precomputed index weights for the master-equation right-hand side."""
+    """The master-equation right-hand side on the upper diagonal bands of rho.
+
+    The equation maps rho[i, i+d] only to rho[i-1, i+d-1], rho[i, i+d] and
+    rho[i+1, i+d+1], so each band d >= 0 evolves on its own, and Hermiticity
+    gives the bands below the diagonal.  The bands d = 0, 1, ..., dim-1 are
+    packed one after another into a flat vector of dim (dim + 1) / 2 entries.
+    Neighbours in a band are neighbours in the vector, and the shift weights
+    are zero at the band ends, so the shifted terms never mix two bands.
+
+    A packed vector v lives in a buffer [0, v, 0], so that `_neighbours`
+    can view it as the rows (v[k-1], v[k], v[k+1]) that the weight rows
+    (down, diagonal, up) multiply.
+    """
 
     def __init__(self, dim: int) -> None:
-        n = np.arange(dim, dtype=float)
-        root = np.sqrt(n[1:])
-        # Both jumps shift indices by one with the same weight sqrt((i+1)(j+1)):
-        # a rho a^dag gives out[i, j] from rho[i+1, j+1], a^dag rho a gives
-        # out[i+1, j+1] from rho[i, j].
-        self.shift = np.outer(root, root)
-        self.n_sum = n[:, None] + n[None, :]
+        lengths = np.arange(dim, 0, -1)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.dim = dim
+        self.size = dim * (dim + 1) // 2
+        self.rows = np.arange(self.size) - starts
+        self.cols = self.rows + np.repeat(np.arange(dim), lengths)
+        i = self.rows.astype(float)
+        j = self.cols.astype(float)
+        self.n_sum = i + j
+        # Both jumps move along the band with weight sqrt(i+1) sqrt(j+1):
+        # a rho a^dag gives out[i, j] from rho[i+1, j+1] (none past the band
+        # end j = dim-1), a^dag rho a gives out[i, j] from rho[i-1, j-1]
+        # (none before the band start i = 0, where sqrt(i) = 0).
+        self.up = np.where(self.cols < dim - 1, np.sqrt(i + 1.0) * np.sqrt(j + 1.0), 0.0)
+        self.down = np.sqrt(i) * np.sqrt(j)
 
-    def rhs(self, rho: np.ndarray, delta: float, gamma: float) -> np.ndarray:
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        """Buffer [0, upper bands of the Hermitian part of ``rho``, 0]."""
+        rho = np.asarray(rho, dtype=complex)
+        buf = np.zeros(self.size + 2, dtype=complex)
+        buf[1:-1] = (0.5 * (rho + rho.conj().T))[self.rows, self.cols]
+        return buf
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        """The Hermitian dim x dim matrix whose upper bands are ``v``."""
+        rho = np.empty((self.dim, self.dim), dtype=complex)
+        rho[self.cols, self.rows] = v.conj()
+        rho[self.rows, self.cols] = v
+        return rho
+
+    def weights(self, delta, gamma, out: np.ndarray) -> None:
+        """Weight rows (down, diagonal, up) into the (3, size) array ``out``.
+
+        With (m, 1) columns of ``delta`` and ``gamma``, m weight sets go into
+        an (m, 3, size) ``out`` at once.
+        """
+        down, diag, up = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         # The anticommutator terms of both jumps add up to
         # -(Delta (n_i + n_j) + Delta - gamma) rho[i, j].
-        out = (-delta * self.n_sum - (delta - gamma)) * rho
-        out[:-1, :-1] += ((delta + gamma) * self.shift) * rho[1:, 1:]
-        out[1:, 1:] += ((delta - gamma) * self.shift) * rho[:-1, :-1]
-        return out
+        np.multiply(self.n_sum, -delta, out=diag)
+        np.subtract(diag, delta - gamma, out=diag)
+        np.multiply(self.down, delta - gamma, out=down)
+        np.multiply(self.up, delta + gamma, out=up)
+
+    @staticmethod
+    def apply(w: np.ndarray, nbrs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """out = drho/dtau on the packed bands whose `_neighbours` are ``nbrs``."""
+        np.multiply(w, nbrs, out=tmp)
+        np.add(tmp[1], tmp[2], out=out)
+        out += tmp[0]
+
+
+def _neighbours(buf: np.ndarray) -> np.ndarray:
+    """Rows (v[k-1], v[k], v[k+1]) of v = buf[1:-1], a view that follows ``buf``."""
+    return sliding_window_view(buf, buf.size - 2)
 
 
 def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:
@@ -139,10 +199,17 @@ def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:
     population there drains trace at rate ~ dim * rho[-1, -1]).  That loss is
     the truncation-error signal that integrate_me watches via trace drift.
     Implies the moment equation d<n>/dtau = -2 gamma <n> + (Delta - gamma).
+    The full dim x dim matrix is returned.
     """
     if not (math.isfinite(delta) and math.isfinite(gamma)):
         raise ValueError(f"coefficients must be finite, got {delta!r}, {gamma!r}")
-    return _RhsWork(state.dim).rhs(np.asarray(state.rho), delta, gamma)
+    work = _RhsWork(state.dim)
+    w = np.empty((3, work.size))
+    work.weights(delta, gamma, w)
+    out = np.empty(work.size, dtype=complex)
+    tmp = np.empty((3, work.size), dtype=complex)
+    work.apply(w, _neighbours(work.pack(state.rho)), out, tmp)
+    return work.unpack(out)
 
 
 def _moments(rho: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -188,8 +255,13 @@ def integrate_me(
     """Integrate the master equation by fixed-step RK4.
 
     Coefficients are sampled at the substep times (t, t+dt/2, t+dt), those
-    of one recording interval in a single `closed_forms` call.  The
-    trace is renormalized every step; per-step drift beyond 1e-6 aborts, and
+    of one recording interval in a single `closed_forms` call.  Only the
+    upper diagonal bands of rho are integrated (see `_RhsWork`), packed into
+    one vector of dim (dim + 1) / 2 entries; the stage inputs and the four
+    slopes live in buffers allocated once, and the full Hermitian matrix is
+    rebuilt only at recorded samples, so the states are exactly Hermitian.
+    The state starts from the Hermitian part of ``state0.rho``.  The trace
+    is renormalized every step; per-step drift beyond 1e-6 aborts, and
     eigenvalue negativity beyond 1e-7 at a recorded sample aborts.  ``dt``
     defaults to 1e-3 * min(1, r) and is rounded down so records land exactly
     on integration steps.
@@ -208,8 +280,17 @@ def integrate_me(
     steps_per_rec = max(1, math.ceil(rec_dt / dt))
     h = rec_dt / steps_per_rec
 
-    work = _RhsWork(state0.dim)
-    rho = np.array(state0.rho, dtype=complex)
+    dim = state0.dim
+    work = _RhsWork(dim)
+    v_buf = work.pack(state0.rho)
+    y_buf = np.zeros_like(v_buf)  # stage inputs
+    v, y = v_buf[1:-1], y_buf[1:-1]
+    v_nbrs, y_nbrs = _neighbours(v_buf), _neighbours(y_buf)
+    k1, k2, k3, k4 = np.empty((4, work.size), dtype=complex)
+    tmp = np.empty((3, work.size), dtype=complex)
+    # Weights at the start, middle and end of a step.
+    w_step = np.empty((3, 3, work.size))
+    w0, wm, w1 = w_step
 
     times = np.linspace(0.0, tau_max, n_record)
     states: list[FockState] = []
@@ -220,9 +301,8 @@ def integrate_me(
     mean_y = np.empty(n_record)
     max_drift = 0.0
 
-    def record(k: int, rho_now: np.ndarray) -> None:
-        rho_h = 0.5 * (rho_now + rho_now.conj().T)
-        state = FockState(rho_h)
+    def record(k: int) -> None:
+        state = FockState(work.unpack(v))
         low = state.min_eigenvalue()
         if low < -NEGATIVITY_TOL:
             raise IntegrationError(
@@ -231,22 +311,34 @@ def integrate_me(
                 f"dimension"
             )
         states.append(state)
-        n_mean[k], var_x[k], var_y[k], mean_x[k], mean_y[k] = _moments(rho_h)
+        n_mean[k], var_x[k], var_y[k], mean_x[k], mean_y[k] = _moments(state.rho)
 
-    record(0, rho)
+    record(0)
     for k in range(1, n_record):
         t0s = times[k - 1] + np.arange(steps_per_rec) * h
         substeps = np.stack([t0s, t0s + 0.5 * h, t0s + h])
         deltas, gammas, _ = closed_forms(p, substeps)
-        for t1, (d0, dm, d1), (g0, gm, g1) in zip(
-            substeps[2].tolist(), deltas.T.tolist(), gammas.T.tolist()
-        ):
-            k1 = work.rhs(rho, d0, g0)
-            k2 = work.rhs(rho + 0.5 * h * k1, dm, gm)
-            k3 = work.rhs(rho + 0.5 * h * k2, dm, gm)
-            k4 = work.rhs(rho + h * k3, d1, g1)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            tr = rho.trace().real
+        for t1, d, g in zip(substeps[2].tolist(), deltas.T[:, :, None], gammas.T[:, :, None]):
+            work.weights(d, g, w_step)
+            work.apply(w0, v_nbrs, k1, tmp)
+            np.multiply(k1, 0.5 * h, out=y)
+            y += v
+            work.apply(wm, y_nbrs, k2, tmp)
+            np.multiply(k2, 0.5 * h, out=y)
+            y += v
+            work.apply(wm, y_nbrs, k3, tmp)
+            np.multiply(k3, h, out=y)
+            y += v
+            work.apply(w1, y_nbrs, k4, tmp)
+            # v += h/6 (k1 + 2 (k2 + k3) + k4)
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= h / 6.0
+            v += k2
+            # Band 0 holds the diagonal.
+            tr = v[:dim].sum().real
             drift = abs(tr - 1.0)
             if drift > TRACE_DRIFT_ABORT:
                 raise IntegrationError(
@@ -254,8 +346,8 @@ def integrate_me(
                     f"{TRACE_DRIFT_ABORT:.1e} (dt={h!r} too large or truncation too small)"
                 )
             max_drift = max(max_drift, drift)
-            rho /= tr
-        record(k, rho)
+            v /= tr
+        record(k)
 
     return FockTrajectory(
         times, states, n_mean, var_x, var_y, mean_x, mean_y, max_drift

@@ -215,6 +215,14 @@ def wigner_coherent_closed(
     return WignerGrid(grid, vals)
 
 
+def _kernel_factor(nodes: np.ndarray, centers: np.ndarray, dg: float) -> np.ndarray:
+    """exp(-(node - center)^2 / dg) for every (node, center) pair, built in place."""
+    f = np.subtract.outer(nodes, centers)
+    np.square(f, out=f)
+    f /= -dg
+    return np.exp(f, out=f)
+
+
 def wigner_by_convolution(
     state0: GaussianState,
     p: PhysicalParams,
@@ -229,6 +237,18 @@ def wigner_by_convolution(
     evaluated by tensor-product midpoint quadrature on the ``inner`` grid.
     This is the oracle path against closed-form evaluation; it shares no
     algebra with `wigner_gaussian` beyond the initial-state values.
+
+    The propagator is an isotropic Gaussian, so its kernel separates:
+    with p = c alpha0 the image of an inner node,
+
+        exp(-|alpha - p|^2 / Delta_Gamma)
+            = exp(-(x - p_x)^2 / Delta_Gamma) exp(-(y - p_y)^2 / Delta_Gamma).
+
+    The x factor for every (outer x, inner node) pair, times the quadrature
+    weights, and the y factor for every (outer y, inner node) pair are two
+    arrays of nx and ny rows by inner.nx * inner.ny columns, and the sum over
+    inner nodes is their matrix product.  Both factors are <= 1, so nothing
+    overflows, and the two arrays are the largest working memory.
 
     The inner grid must cover at least 6 marginal standard deviations of the
     initial state, otherwise the quadrature misses initial-state mass.
@@ -260,10 +280,7 @@ def wigner_by_convolution(
     py = (c.imag * x0[:, None] + c.real * y0[None, :]).ravel()
     weights = w0.values.ravel() * inner.dx * inner.dy / (math.pi * dg)
 
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    vals = np.empty((grid.nx, grid.ny))
-    for ix in range(grid.nx):
-        d2 = (xs[ix] - px)[None, :] ** 2 + (ys[:, None] - py[None, :]) ** 2
-        vals[ix, :] = np.exp(-d2 / dg) @ weights
-    return WignerGrid(grid, vals)
+    # The separable kernel; the weights go into the x factor.
+    ex = _kernel_factor(grid.x_coords(), px, dg)
+    ex *= weights
+    return WignerGrid(grid, ex @ _kernel_factor(grid.y_coords(), py, dg).T)

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -160,7 +161,14 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert main(["coeffs", "--r", "0", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["coeffs", "--tol=nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["coeffs", "--tol=inf", "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err.count("error:") == 5
+    # g^2 overflows a double: bad input, rejected before any coefficient is
+    # computed, so no NumPy warning is emitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coeffs", "--g=1e200", "--steps=5", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 6
+    assert "must be finite, got g = 1e+200" in err
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):

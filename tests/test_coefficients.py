@@ -40,6 +40,10 @@ def test_params_validation():
         PhysicalParams(g=0.1, r=0.0, kt_over_wc=100.0)
     with pytest.raises(ValueError):
         PhysicalParams(g=0.1, r=0.05, kt_over_wc=0.0)
+    # g^2 overflows, or Delta's prefactor 2 g^2 kT r^2/(1+r^2) does
+    for g, kt in ((1e200, 1.0), (1e153, FIG1.kt_over_wc), (1e150, 1e300)):
+        with pytest.raises(ValueError, match="must be finite"):
+            PhysicalParams(g=g, r=0.05, kt_over_wc=kt)
     assert FIG1.omega0 == 1.0 / 0.05
 
 

@@ -168,6 +168,31 @@ def test_convolution_matches_moment_evaluation_for_squeezed_input():
     assert np.abs(conv.values - ref.values).max() < 1e-12
 
 
+def test_convolution_is_the_propagator_sum_over_inner_nodes():
+    # The oracle must stay the midpoint sum of the public propagator over the
+    # inner nodes, however its kernel is evaluated.  At tau = 0.3, w0 tau =
+    # 6 rad, so the contracted image of the inner grid is turned 16 degrees
+    # off the axes; the inner grid is also off-centre, with unequal spacings.
+    sq = make_squeezed(0.4 - 0.3j, squeeze_from_sigma2(0.3))
+    tau = 0.3
+    outer = GridSpec.cover_state(propagate(sq, FIG1, tau), n_sigma=4.0, nx=7, ny=5)
+    cover = GridSpec.cover_state(sq, n_sigma=6.0)
+    inner = GridSpec(cover.x_min - 0.3, cover.x_max + 0.1,
+                     cover.y_min - 0.05, cover.y_max + 0.6, 15, 13)
+    w0 = wigner_gaussian(sq, inner).values
+    da = inner.dx * inner.dy
+    nodes = [(complex(x0, y0), w0[a, b] * da)
+             for a, x0 in enumerate(inner.x_coords())
+             for b, y0 in enumerate(inner.y_coords())]
+    ref = np.array([
+        [sum(propagator(FIG1, tau, complex(x, y), a0) * w for a0, w in nodes)
+         for y in outer.y_coords()]
+        for x in outer.x_coords()
+    ])
+    conv = wigner_by_convolution(sq, FIG1, tau, outer, inner)
+    assert np.abs(conv.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_convolution_input_validation():
     coh = make_coherent(ALPHA0)
     outer = GridSpec(-3.0, 3.0, -3.0, 3.0, 21, 21)
