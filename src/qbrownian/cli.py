@@ -13,9 +13,11 @@ r = 0.05, high-temperature reservoir).  Identical configurations produce
 byte-identical output files: floats are written in shortest round-trip form
 and no timestamps enter the data.
 
-Exit codes: 0 success, 2 invalid arguments or configuration, 3 numerical
-failure (quadrature/integration, or an arithmetic error such as overflow),
-4 I/O failure.
+Exit codes: 0 success, 2 invalid arguments or configuration (including
+sizes above MAX_STEPS, MAX_GRID_POINTS or MAX_WIGNER_VALUES, rejected before
+anything is allocated), 3 numerical failure (quadrature/integration, the
+Lindblad bracket cap, or an arithmetic error such as overflow; a value that
+would not be finite counts as one), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ from .gaussian import propagate
 
 # Temperature of the default reservoir: omega_c/(2 pi kT) = 3e-5.
 DEFAULT_KT_OVER_WC = 1.0 / (2.0 * math.pi * 3.0e-5)
+
+# Size caps, checked before anything is allocated: grid points per trajectory,
+# points per Wigner grid, and Wigner values over all requested times.
+MAX_STEPS = 1 << 20
+MAX_GRID_POINTS = 1 << 22
+MAX_WIGNER_VALUES = 1 << 24
 
 
 @dataclass
@@ -82,8 +90,18 @@ class RunConfig:
             raise ValueError(f"tau-max must be finite and > 0, got {self.tau_max!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"nx/ny must be >= 1, got {self.nx!r}, {self.ny!r}")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise ValueError(
+                f"nx*ny must be <= {MAX_GRID_POINTS}, got {self.nx!r}*{self.ny!r}"
+            )
+        if self.nx * self.ny * len(self.tau_list()) > MAX_WIGNER_VALUES:
+            raise ValueError(
+                f"nx*ny times the number of wigner times must be <= {MAX_WIGNER_VALUES}"
+            )
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
@@ -266,15 +284,18 @@ def cmd_wigner(cfg: RunConfig) -> None:
 
 def cmd_classify(cfg: RunConfig) -> None:
     p = cfg.physical_params()
-    result = classify_lindblad(p, cfg.tau_max, cfg.steps)
+    result = classify_lindblad(p, cfg.tau_max)
     data = {
         "is_lindblad_type": result.is_lindblad_type,
         "negative_intervals": {
             name: [list(iv) for iv in ivs]
             for name, ivs in result.negative_intervals.items()
         },
+        # past the horizon a rate keeps the sign of its plateau; none if that is 0
+        "horizon": {
+            name: tau if math.isfinite(tau) else None for name, tau in result.horizon.items()
+        },
         "tau_max": cfg.tau_max,
-        "n_samples": cfg.steps,
         "version": __version__,
     }
     _write_text(_out_path(cfg, "classify", "json"), _json_dumps(data))
@@ -309,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--phi", type=float, help="squeeze angle")
     shared.add_argument("--tau-max", dest="tau_max", type=float, help="final time")
     shared.add_argument("--steps", type=int,
-                        help="grid points (trajectories) / samples (classify)")
+                        help="grid points (trajectories)")
     shared.add_argument("--tol", type=float, help="quadrature relative tolerance")
     shared.add_argument("--out", type=str, help="output path (or stem for wigner)")
     shared.add_argument("--format", choices=["csv", "json"], help="output format")
@@ -354,7 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(asdict(cfg), indent=2, sort_keys=True))
         return 0
     try:
-        _COMMANDS[args.command](cfg)
+        # An overflow or an invalid operation would leave a non-finite value
+        # in the data: it raises FloatingPointError, an ArithmeticError.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _COMMANDS[args.command](cfg)
     except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,14 @@ closed-form relaxation towards kT*r after it.
 `closed_forms` evaluates Delta, gamma and Gamma on arrays; the scalar
 functions `delta_coeff`, `gamma_coeff` and `big_gamma` call it on one time,
 so a scalar value equals the corresponding grid entry bit for bit.
+
+The generator is of Lindblad type while both rates Delta +/- gamma are
+non-negative.  Each rate is A (1 - e^(-tau) cos(tau/r)) + C e^(-tau) sin(tau/r),
+monotone between extrema at known phases pi*r apart, and past its horizon
+tau* = ln(sqrt(A^2+C^2)/|A|) it keeps the sign of its plateau A.
+`classify_lindblad` therefore brackets every sign change between consecutive
+extrema before min(tau_max, tau*) and refines the brackets to adjacent
+doubles; no time grid is sampled.
 """
 
 from __future__ import annotations
@@ -35,8 +43,13 @@ from .quadrature import IntegrationError, integrate_panels
 # Default relative tolerance for the Delta_Gamma quadrature.
 DEFAULT_TOL = 1e-10
 
-# Width (in tau) to which sign-change boundaries are refined by bisection.
-_BISECT_WIDTH = 1e-9
+# Candidate sign-change brackets (monotone pieces of Delta +/- gamma) per
+# Lindblad classification: about min(tau_max, tau*)/(pi r) per combination.
+# The cap bounds time (about 2 s) and memory.  Each pass of the multisection
+# that refines the brackets evaluates about _PASS_POINTS times, so few
+# brackets are cut into many parts per pass.
+_MAX_BRACKETS = 1 << 17
+_PASS_POINTS = 512
 
 # -ln of double-precision epsilon: past the transient end, e^(-tau) times the
 # largest oscillation amplitude is below 2^-53 of the coefficients' plateaus.
@@ -124,11 +137,13 @@ class LindbladClassification:
     The generator has Lindblad structure with time-dependent rates
     Delta + gamma and Delta - gamma; it is of Lindblad type on an interval
     iff both stay non-negative there.  An endpoint sitting exactly at zero
-    counts as non-negative.
+    counts as non-negative.  Past ``horizon[name]`` (inf when the plateau of
+    the combination is 0) the combination keeps the sign of its plateau.
     """
 
     is_lindblad_type: bool
     negative_intervals: dict[str, list[tuple[float, float]]]
+    horizon: dict[str, float]
 
 
 def _check_tau(tau: float) -> float:
@@ -313,58 +328,56 @@ def coefficient_grid(
     return CoefficientGrid(taus, delta, gamma, big, _delta_gamma(p, taus, big, tol))
 
 
-def _refine_crossing(f, lo: float, hi: float) -> float:
-    """Bisect a sign change of f to an interval of width <= _BISECT_WIDTH.
-
-    Maintains f(lo) and f(hi) of opposite sign classes (one >= 0, one < 0);
-    returns the midpoint of the final bracket.
-    """
-    f_lo_neg = f(lo) < 0.0
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == f_lo_neg:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def classify_lindblad(
-    p: PhysicalParams, tau_max: float, n_samples: int
+    p: PhysicalParams, tau_max: float, n_samples: int | None = None
 ) -> LindbladClassification:
-    """Classify the generator as Lindblad-type or not on [0, tau_max].
+    """Classify the generator as Lindblad-type or not on [0, tau_max], exactly.
 
-    Samples Delta + gamma and Delta - gamma on a uniform grid of
-    ``n_samples`` points (one `closed_forms` call), groups runs of strictly
-    negative values, and refines each run boundary by bisection to width 1e-9 in tau.  Negativity
-    narrower than the grid spacing can go undetected; use enough samples for
-    the oscillation period 2*pi*r of the coefficients.
+    Each f = Delta +/- gamma is A (1 - e^(-tau) cos(w tau)) + C e^(-tau) sin(w tau),
+    w = 1/r, so f' is proportional to e^(-tau) cos(w tau - phi): f is monotone
+    between extrema pi*r apart, and past the horizon tau* = ln(sqrt(A^2+C^2)/|A|)
+    it has the sign of A.  The sign changes on [0, min(tau_max, tau*)], each
+    bracketed between consecutive extrema, are cut down together on
+    `closed_forms` to adjacent doubles; a boundary is the first double past its
+    sign change.  Nothing is sampled, so tau_max beyond tau* changes nothing.
+    ``n_samples`` is ignored.  Raises IntegrationError above _MAX_BRACKETS.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
-
-    step = tau_max / (n_samples - 1)
-    taus = np.append(np.arange(n_samples - 1) * step, tau_max)
-    delta, gamma, _ = closed_forms(p, taus)
-    grid = taus.tolist()
-    negative_intervals: dict[str, list[tuple[float, float]]] = {}
-    for name, sign in (("delta_plus_gamma", 1.0), ("delta_minus_gamma", -1.0)):
-
-        def f(t: float, sign: float = sign) -> float:
-            d, g, _ = closed_forms(p, t)
-            return float(d + sign * g)
-
-        negative = np.concatenate(([False], delta + sign * gamma < 0.0, [False]))
-        # Alternating first index of each negative run and one past its end.
-        edges = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
-        intervals: list[tuple[float, float]] = []
-        for i, j in zip(edges[::2], edges[1::2]):
-            start = 0.0 if i == 0 else _refine_crossing(f, grid[i - 1], grid[i])
-            end = tau_max if j == n_samples else _refine_crossing(f, grid[j - 1], grid[j])
-            intervals.append((start, end))
-        negative_intervals[name] = intervals
-
-    is_lindblad = all(not v for v in negative_intervals.values())
-    return LindbladClassification(is_lindblad, negative_intervals)
+    w, (pd, pg) = 1.0 / p.r, p.prefactors
+    combos = [(pd + pg, pd * w - pg * p.r), (pd - pg, pd * w + pg * p.r)]
+    horizon = [math.log(math.hypot(a, c) / abs(a)) if a else math.inf for a, c in combos]
+    # With C = 0, f has the sign of A (or is 0) for every tau > 0.
+    ends = [min(tau_max, h) if c else 0.0 for h, (_, c) in zip(horizon, combos)]
+    count = sum(end / (math.pi * p.r) + 4.0 for end in ends)
+    if not count <= _MAX_BRACKETS:
+        raise IntegrationError(f"Lindblad classification up to tau={tau_max!r} needs "
+                               f"{count:.4g} brackets, more than the limit of {_MAX_BRACKETS}")
+    knots = []
+    for (a, c), end in zip(combos, ends):
+        k = np.arange(math.ceil(end / (math.pi * p.r)) + 2)
+        ext = p.r * (math.atan2(a * w - c, a + c * w) + math.pi * (k + 0.5))
+        knots.append(np.concatenate(([0.0], ext[(ext > 0.0) & (ext < end)], [end, tau_max])))
+    sizes = [len(k) for k in knots]
+    t, sign = np.concatenate(knots), np.repeat([1.0, -1.0], sizes)
+    d, g, _ = closed_forms(p, t)
+    neg = d + sign * g < 0.0
+    i = np.flatnonzero((neg[:-1] != neg[1:]) & (sign[:-1] == sign[1:]))
+    # Cut every bracket into equal parts and keep the one where f changes
+    # sign, until each bracket is two adjacent doubles.
+    lo, hi, s, lo_neg = t[i], t[i + 1], sign[i, None], neg[i, None]
+    rows, parts = np.arange(len(i)), max(2, _PASS_POINTS // max(len(i), 1))
+    inner, far = np.arange(1, parts) / parts, np.ones((len(i), 1), dtype=bool)
+    while np.any(np.nextafter(lo, hi) < hi):
+        x = lo[:, None] + (hi - lo)[:, None] * inner
+        d, g, _ = closed_forms(p, x)
+        j = np.argmax(np.hstack(((d + s * g < 0.0) != lo_neg, far)), axis=1)
+        x = np.hstack((lo[:, None], x, hi[:, None]))
+        lo, hi = x[rows, j], x[rows, j + 1]
+    names, negative_intervals = ("delta_plus_gamma", "delta_minus_gamma"), {}
+    # f(0) = 0 exactly, so every negative run starts at a sign change.
+    for name, sk, last in zip(names, (1.0, -1.0), np.cumsum(sizes) - 1):
+        bounds = hi[s[:, 0] == sk].tolist() + [tau_max] * bool(neg[last])
+        negative_intervals[name] = list(zip(bounds[::2], bounds[1::2]))
+    is_lindblad = not any(negative_intervals.values())
+    return LindbladClassification(is_lindblad, negative_intervals, dict(zip(names, horizon)))

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
 
 from .coefficients import PhysicalParams, closed_forms
 from .quadrature import IntegrationError
@@ -103,17 +102,19 @@ def make_coherent_fock(alpha: complex, dim: int) -> FockState:
 
 
 def make_squeezed_fock(s: float, dim: int) -> FockState:
-    """Squeezed vacuum from the truncated squeeze operator expm((s/2)(a^2 - a^dag^2)).
+    """Squeezed vacuum from the truncated squeeze operator exp((s/2)(a^2 - a^dag^2)).
 
     For phi = 0 this squeezes the x quadrature: (Dx)^2 = e^(-2s)/2.
+    The generator G is real antisymmetric, so iG is Hermitian and
+    exp(G) = V exp(-i lambda) V^dag from its eigenpairs (lambda, V).
     Truncation artifacts concentrate near n = dim, so dim must comfortably
     exceed the significant number-state support.
     """
     if s < 0.0:
         raise ValueError(f"squeeze magnitude must be >= 0, got {s!r}")
     a = annihilation(dim)
-    gen = 0.5 * s * (a @ a - a.conj().T @ a.conj().T)
-    psi = expm(gen)[:, 0]
+    lam, vec = np.linalg.eigh(0.5j * s * (a @ a - a.conj().T @ a.conj().T))
+    psi = vec @ (np.exp(-1j * lam) * vec[0].conj())
     psi /= math.sqrt(float(np.vdot(psi, psi).real))
     return FockState(np.outer(psi, psi.conj()))
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,6 +183,16 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a panel count too large for int64 must still hit the panel cap
     assert main(["coeffs", "--g=1e150", "--steps=5", "--out", str(tmp_path / "c.csv")]) == 3
     assert "panels" in capsys.readouterr().err
+    # a value that would overflow to inf is a numerical failure, not data,
+    # and it surfaces as the exit code rather than as a NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moments", "--state=coherent", "--alpha-re=1e200", "--steps=3",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        assert main(["moments", "--wc-over-2pikt=1e-300", "--steps=5",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err.count("numerical failure") == 2
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -272,6 +283,42 @@ def test_classify_json(tmp_path):
                  "--steps", "2000", "--out", str(out2)]) == 0
     data2 = json.loads(out2.read_text())
     assert data2["is_lindblad_type"] is True
+
+
+def test_size_caps_exit_2(tmp_path, capsys):
+    # rejected by validation: a 1e10-point grid is never allocated
+    tracemalloc.start()
+    try:
+        assert main(["wigner", "--nx=100000", "--ny=100000", "--times=0",
+                     "--out", str(tmp_path / "w.csv")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert main(["wigner", "--nx=2048", "--ny=2048", "--times=0,0.1,0.2,0.3,0.4",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    assert main(["moments", f"--steps={cli.MAX_STEPS + 1}", "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_classify_long_window_and_bracket_cap(tmp_path, capsys):
+    out = tmp_path / "cls.json"
+    assert main(["classify", "--r=0.05", "--tau-max=1e6", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["is_lindblad_type"] is False
+    assert [len(v) for v in data["negative_intervals"].values()] == [9, 9]
+    assert set(data["horizon"]) == {"delta_plus_gamma", "delta_minus_gamma"}
+    assert all(2.99 < h < 3.0 for h in data["horizon"].values())
+    assert "n_samples" not in data
+    # uncoupled: both rates vanish identically, so there is no horizon
+    assert main(["classify", "--g=0", "--tau-max=1e6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["horizon"] == {
+        "delta_plus_gamma": None, "delta_minus_gamma": None}
+    start = time.monotonic()
+    assert main(["classify", "--r=1e-9", "--tau-max=30", "--out", str(out)]) == 3
+    assert time.monotonic() - start < 1.0
+    assert "brackets" in capsys.readouterr().err
 
 
 def test_temperature_and_squeeze_aliases(capsys):

@@ -310,5 +310,46 @@ def test_classification_high_r_is_lindblad_type():
 def test_classification_preconditions():
     with pytest.raises(ValueError):
         classify_lindblad(FIG1, tau_max=0.0, n_samples=100)
-    with pytest.raises(ValueError):
-        classify_lindblad(FIG1, tau_max=1.0, n_samples=1)
+
+
+def test_classification_horizon_and_long_windows():
+    short = classify_lindblad(FIG1, tau_max=3.0)
+    assert short.horizon["delta_plus_gamma"] == pytest.approx(2.9951, abs=1e-4)
+    assert short.horizon["delta_minus_gamma"] == pytest.approx(2.9989, abs=1e-4)
+    assert [len(v) for v in short.negative_intervals.values()] == [9, 9]
+    # past both horizons the window length changes nothing, down to the last bit
+    horizon = max(short.horizon.values())
+    for tau_max in (horizon, 10.0, 1e3, 1e6):
+        cls = classify_lindblad(FIG1, tau_max=tau_max)
+        assert cls.negative_intervals == short.negative_intervals
+        assert cls.horizon == short.horizon
+
+
+@pytest.mark.parametrize("r", [0.05, 0.2])
+def test_classification_boundaries_are_exact_roots(r):
+    from scipy.optimize import brentq
+
+    p = PhysicalParams(g=0.1, r=r, kt_over_wc=FIG1.kt_over_wc)
+    tau_max = 3.0
+    cls = classify_lindblad(p, tau_max=tau_max)
+    for name, sign in (("delta_plus_gamma", 1.0), ("delta_minus_gamma", -1.0)):
+        f = lambda t: delta_coeff(p, t) + sign * gamma_coeff(p, t)
+        roots = [b for iv in cls.negative_intervals[name] for b in iv if b < tau_max]
+        assert roots
+        # each root is alone between the midpoints to its neighbours
+        edges = [0.0, *roots, tau_max]
+        for k, root in enumerate(roots, start=1):
+            lo = 0.5 * (edges[k - 1] + root)
+            hi = 0.5 * (root + edges[k + 1])
+            assert abs(root - brentq(f, lo, hi, xtol=1e-15)) <= 1e-12
+
+
+def test_classification_negative_plateau_reaches_tau_max():
+    # kT r < 1/2 makes the plateau of Delta - gamma negative
+    p = PhysicalParams(g=0.1, r=0.05, kt_over_wc=5.0)
+    for tau_max in (10.0, 1e6):
+        cls = classify_lindblad(p, tau_max=tau_max)
+        assert not cls.is_lindblad_type
+        last = cls.negative_intervals["delta_minus_gamma"][-1]
+        assert last[0] < cls.horizon["delta_minus_gamma"] < last[1] == tau_max
+        assert delta_coeff(p, tau_max) - gamma_coeff(p, tau_max) < 0.0

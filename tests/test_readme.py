@@ -1,0 +1,15 @@
+"""The Python examples in README.md run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    # later blocks reuse the names that earlier ones define
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
