@@ -31,11 +31,7 @@ from .gaussian import (
     propagate,
     squeeze_from_sigma2,
 )
-from .quadrature import (
-    IntegrationError,
-    integrate_fixed,
-    integrate_panels,
-)
+from .quadrature import IntegrationError, integrate_fixed
 from .wigner import (
     GridMoments,
     GridSpec,
@@ -70,7 +66,6 @@ __all__ = [
     "gamma_coeff",
     "grid_moments",
     "integrate_fixed",
-    "integrate_panels",
     "make_coherent",
     "make_squeezed",
     "mean_quanta",

@@ -15,9 +15,11 @@ and no timestamps enter the data.
 
 Exit codes: 0 success, 2 invalid arguments or configuration (including
 sizes above MAX_STEPS, MAX_GRID_POINTS or MAX_WIGNER_VALUES, rejected before
-anything is allocated), 3 numerical failure (quadrature/integration, the
-Lindblad bracket cap, or an arithmetic error such as overflow; a value that
-would not be finite counts as one), 4 I/O failure.
+anything is allocated, and wigner times that would share a file name),
+3 numerical failure (a coupling |c| = 2 g^2 r^2/(1+r^2) above the
+Delta_Gamma series' cap, the Lindblad bracket cap, or an arithmetic error
+such as overflow; a value that would not be finite counts as one), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class RunConfig:
     n_sigma: float = 6.0
     times: str = "0,0.15,0.3,0.45"  # wigner sample times, comma-separated
     frame: str = "lab"  # moments CSV frame: lab | corotating
-    tol: float = 1e-10
     out: str = ""  # empty -> per-command default filename
     format: str = "csv"  # csv | json
 
@@ -104,8 +105,6 @@ class RunConfig:
             )
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         for t in self.tau_list():
             if t < 0.0:
                 raise ValueError(f"wigner times must be >= 0, got {t!r}")
@@ -196,7 +195,7 @@ def cmd_coeffs(cfg: RunConfig) -> None:
     p = cfg.physical_params()
     step = cfg.tau_max / (cfg.steps - 1)
     taus = [i * step for i in range(cfg.steps - 1)] + [cfg.tau_max]
-    grid = coefficient_grid(p, taus, tol=cfg.tol)
+    grid = coefficient_grid(p, taus)
     names = ("tau", "delta", "gamma", "big_gamma", "delta_gamma")
     columns = [getattr(grid, name) for name in names]
     if cfg.format == "csv":
@@ -220,7 +219,7 @@ def _moments_summary(cfg: RunConfig, traj) -> dict:
 
 def cmd_moments(cfg: RunConfig) -> None:
     p = cfg.physical_params()
-    traj = evolve_trajectory(cfg.initial_state(), p, cfg.tau_max, cfg.steps, tol=cfg.tol)
+    traj = evolve_trajectory(cfg.initial_state(), p, cfg.tau_max, cfg.steps)
     vx, vy, cxy = traj.variances(frame=cfg.frame)
     mx, my = traj.means(frame=cfg.frame)
     summary = _moments_summary(cfg, traj)
@@ -274,11 +273,18 @@ def cmd_wigner(cfg: RunConfig) -> None:
     p = cfg.physical_params()
     state0 = cfg.initial_state()
     base = _out_path(cfg, "wigner", cfg.format)
+    # `:g` keeps six digits, so distinct times can name one file; refuse them
+    # before anything is written rather than overwrite a grid.
+    paths: dict[Path, float] = {}
     for tau in cfg.tau_list():
-        state = propagate(state0, p, tau, tol=cfg.tol)
+        path = base.with_name(f"{base.stem}_tau{tau:g}{base.suffix}")
+        if path in paths:
+            raise ValueError(f"wigner times {paths[path]!r} and {tau!r} both map to {path.name}")
+        paths[path] = tau
+    for path, tau in paths.items():
+        state = propagate(state0, p, tau)
         grid = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
         wg = wigner_gaussian(state, grid)
-        path = base.with_name(f"{base.stem}_tau{tau:g}{base.suffix}")
         _write_text(path, _grid_csv(wg) if cfg.format == "csv" else _grid_json(wg))
 
 
@@ -331,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tau-max", dest="tau_max", type=float, help="final time")
     shared.add_argument("--steps", type=int,
                         help="grid points (trajectories)")
-    shared.add_argument("--tol", type=float, help="quadrature relative tolerance")
     shared.add_argument("--out", type=str, help="output path (or stem for wigner)")
     shared.add_argument("--format", choices=["csv", "json"], help="output format")
     shared.add_argument("--config", type=str, help="JSON config file (flat object)")

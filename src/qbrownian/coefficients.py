@@ -8,18 +8,23 @@ units of omega_c, and the temperature enters only through kT/(hbar*omega_c).
 The reduced dynamics is governed by a diffusion coefficient Delta(tau), a
 dissipation coefficient gamma(tau), and their integrated forms
 
-    Gamma(tau)       = 2 * integral_0^tau gamma(s) ds          (closed form)
+    Gamma(tau)       = 2 * integral_0^tau gamma(s) ds
     Delta_Gamma(tau) = exp(-Gamma(tau)) *
-                       integral_0^tau exp(Gamma(s)) Delta(s) ds (quadrature)
+                       integral_0^tau exp(Gamma(s)) Delta(s) ds
 
 Both Delta and gamma are linear combinations of 1, e^(-tau)cos(tau/r) and
-e^(-tau)sin(tau/r), so Gamma has an elementary antiderivative; Delta_Gamma
-does not, hence Gauss-Legendre panels over the e^(-tau) transient and a
-closed-form relaxation towards kT*r after it.
+e^(-tau)sin(tau/r), so Gamma has an elementary antiderivative.  exp(Gamma) is
+e^(a tau) times the exponential of a damped oscillation, whose power series
+(in e^((-1 +/- i/r) tau)) integrates term by term against Delta: Delta_Gamma
+is a finite sum of exponentials, evaluated to double precision at every time
+without quadrature.  The series converges for any coupling, but its terms
+cancel as |c| = 2 g^2 r^2/(1+r^2) grows, so strong coupling (|c| above 7) is
+refused as a numerical failure.
 
 `closed_forms` evaluates Delta, gamma and Gamma on arrays; the scalar
 functions `delta_coeff`, `gamma_coeff` and `big_gamma` call it on one time,
-so a scalar value equals the corresponding grid entry bit for bit.
+and `delta_big_gamma` calls the array series behind `coefficient_grid`, so a
+scalar value equals the corresponding grid entry bit for bit.
 
 The generator is of Lindblad type while both rates Delta +/- gamma are
 non-negative.  Each rate is A (1 - e^(-tau) cos(tau/r)) + C e^(-tau) sin(tau/r),
@@ -38,10 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import IntegrationError, integrate_panels
-
-# Default relative tolerance for the Delta_Gamma quadrature.
-DEFAULT_TOL = 1e-10
+from .quadrature import IntegrationError
 
 # Candidate sign-change brackets (monotone pieces of Delta +/- gamma) per
 # Lindblad classification: about min(tau_max, tau*)/(pi r) per combination.
@@ -51,15 +53,21 @@ DEFAULT_TOL = 1e-10
 _MAX_BRACKETS = 1 << 17
 _PASS_POINTS = 512
 
-# -ln of double-precision epsilon: past the transient end, e^(-tau) times the
-# largest oscillation amplitude is below 2^-53 of the coefficients' plateaus.
-_NEG_LOG_EPS = 53.0 * math.log(2.0)
-
-# Delta_Gamma panels per call (a panel is at most min(r, 1)/2 wide), and per
-# array pass; the cap bounds memory and time, and is reached for r below
-# about 1e-4.
-_MAX_PANELS = 1 << 20
-_PANEL_CHUNK = 4096
+# Delta_Gamma series (see `_delta_gamma`).  exp(Re(c z)) is kept to the degree
+# N before the first K = N + 1 with |c|^K/K! < _SERIES_TAIL.  The terms cancel
+# like e^(|c| - Re c), worst where c is almost imaginary (r >> 1): against
+# 40-digit references the error reaches 4e-13 at |c| = 7 and 1.1e-12 at
+# |c| = 8, so |c| above _MAX_C is refused.  Times with y = tau*max|lambda|
+# <= _TAYLOR_REACH use the Taylor series in y, whose _TAYLOR_TERMS terms reach
+# y^k/(k+2)! < 1e-18: there it cancels less than the sum of exponentials
+# (1.1e-13 against 1.3e-12 at |c| = 6, r = 1000, with a reach of 1).  A pass
+# evaluates about _PASS_VALUES values per array.
+_MAX_C = 7.0
+_SERIES_TAIL = 1e-18
+_TAYLOR_REACH = 8.0
+_TAYLOR_TERMS = 44
+_PASS_VALUES = 1 << 16
+_TWO_PI = 8.0 * np.arctan(np.longdouble(1.0))
 
 
 @dataclass(frozen=True)
@@ -211,108 +219,122 @@ def big_gamma(p: PhysicalParams, tau: float) -> float:
     return float(closed_forms(p, _check_tau(tau))[2])
 
 
-def _delta_gamma(
-    p: PhysicalParams, taus: np.ndarray, big: np.ndarray, tol: float
-) -> np.ndarray:
-    """Delta_Gamma at increasing times ``taus`` >= 0, where Gamma equals ``big``.
+def _delta_gamma(p: PhysicalParams, taus: np.ndarray) -> np.ndarray:
+    """Delta_Gamma at the times ``taus`` (>= 0, any order), in closed form.
 
-    Segment k runs from the previous time (0 for k = 0) to taus[k] and
+    Gamma(s) = a s + b + Re(c z) with z = e^((-1 + i/r) s), a = 2 pref_gamma,
+    c = a (2 r^2 + i r (1 - r^2))/(1 + r^2) and b = -Re c, so |c| = a r.
+    Expanding exp(Re(c z)) as a double series in z and conj(z), the integrand
+    exp(Gamma) Delta is pref_delta e^(a s + b) sum B_mn e^(lambda_mn s - a s)
+    with lambda_mn = a - (m + n) + i (m - n)/r, and
 
-        D_k = exp(Gamma_{k-1} - Gamma_k) D_{k-1}
-              + integral_segment exp(Gamma(s) - Gamma_k) Delta(s) ds,
+        Delta_Gamma = pref_delta e^(-Re(c z)) S,
+        S = sum B_mn e^(-a tau) (e^(lambda_mn tau) - 1)/lambda_mn.
 
-    whose exponents stay near or below 0, so a large Gamma cannot overflow.
-    Each segment's integral splits at the transient's end: before it,
-    Gauss-Legendre panels at most min(r, 1)/2 wide resolve the oscillation
-    period 2*pi*r; after it Delta and gamma are constant to double precision,
-    and the integral is kT r (1 - exp(Gamma(split) - Gamma_k)) in closed form.
-    A segment fails when the panels' summed error estimate exceeds ``tol``
-    times their summed integral of |integrand|.
+    Each term is evaluated without cancellation: e^(-a tau) (e^(x tau) - 1)
+    with x = a - (m + n) through expm1 (tau e^(-a tau) at resonance, x = 0),
+    and e^(i (m - n) tau/r) - 1 from half-angle sines.  The terms of order tau
+    sum to Delta(0) = 0, so for small tau max|lambda| the Taylor series of S
+    in tau, whose coefficients are summed once, replaces them.  No term
+    depends on earlier times, and a value does not depend on its grid.
+
+    Raises IntegrationError for |c| above _MAX_C.
     """
-    if p.g == 0.0 or taus.size == 0:
-        return np.zeros(taus.shape)
-    starts = np.concatenate(([0.0], taus[:-1]))
-    transient_end = _NEG_LOG_EPS + math.log((1.0 + 1.0 / p.r) * (1.0 + p.r))
-    split = np.minimum(np.maximum(starts, transient_end), taus)
-    relaxed = -np.expm1(closed_forms(p, split)[2] - big)
-    sums = p.kt_over_wc * p.r * relaxed
-
-    # Panels resolve the oscillation period 2*pi*r, the e^(-tau) transient and
-    # the growth of exp(Gamma), whose rate 2*gamma is below 2 g^2 r (2+r)/(1+r^2).
-    rate = max(1.0 / p.r, 1.0, 2.0 * p.g * p.g * p.r * (2.0 + p.r) / (1.0 + p.r * p.r))
-    width = split - starts
-    counts = np.ceil(width * (2.0 * rate))
-    total = counts.sum()
-    # Checked as floats: for huge g an int64 count wraps round to negative,
-    # and an infinite rate gives inf or NaN counts.
-    if not (total <= _MAX_PANELS):
+    if taus.size == 0:
+        return np.zeros(0)
+    r, w = p.r, 1.0 / p.r
+    pref_delta, pref_gamma = p.prefactors
+    a = 2.0 * pref_gamma
+    c = a * r * complex(2.0 * r, 1.0 - r * r) / (1.0 + r * r)
+    if not abs(c) <= _MAX_C:
         raise IntegrationError(
-            f"Delta_Gamma quadrature up to tau={float(taus[-1])!r} needs "
-            f"{total:.4g} panels, more than the limit of {_MAX_PANELS}"
+            f"Delta_Gamma series needs |c| = 2 g^2 r^2/(1+r^2) <= {_MAX_C}, got "
+            f"|c| = {abs(c):.4g} (g = {p.g!r}, r = {p.r!r})"
         )
-    n_panels = counts.astype(np.int64)
-    total = int(total)
-    seg = np.repeat(np.arange(taus.size), n_panels)
-    index = np.arange(total) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
-    scale = width[seg] / n_panels[seg]
-    lo = starts[seg] + index * scale
-    hi = starts[seg] + (index + 1) * scale
-    errors = np.zeros(taus.shape)
-    magnitudes = np.zeros(taus.shape)
-    for first in range(0, total, _PANEL_CHUNK):
-        part = slice(first, first + _PANEL_CHUNK)
-        shift = big[seg[part]][:, None]
+    top, term = 1, abs(c)
+    while term >= _SERIES_TAIL:
+        top += 1
+        term *= abs(c) / top
+    m = np.arange(top + 1)
+    deg, diff = m[:, None] + m, m[:, None] - m
+    # exp(Re(c z)) = sum A_mn z^m conj(z)^n, to degree top - 1; times
+    # Delta/pref_delta = 1 - Re((1 + i w) z) it is sum B_mn z^m conj(z)^n.
+    v = np.cumprod(np.concatenate(([1.0], 0.5 * c / m[1:])))
+    coef_a = np.where(deg < top, np.outer(v, v.conj()), 0.0)
+    coef_b = coef_a.copy()
+    coef_b[1:] -= complex(0.5, 0.5 * w) * coef_a[:-1]
+    coef_b[:, 1:] -= complex(0.5, -0.5 * w) * coef_a[:, :-1]
+    lam = a - deg + 1j * w * diff
+    keep = deg <= top
+    lmax = np.abs(lam[keep]).max()
+    # Terms m > n, folded with their conjugates m < n, sit at j = m + n and
+    # k = m - n; terms m = n have a real lambda and sit at j = 2m.
+    off = keep & (diff > 0)
+    jt, kt, q = deg[off], diff[off], 2.0 * coef_b[off] / lam[off]
+    diag = np.arange(top // 2 + 1)
+    dj, bd = 2 * diag, coef_b[diag, diag].real
+    # S = e^(-a tau) tau y sum_k taylor_k y^k with y = lmax tau.
+    k = np.arange(_TAYLOR_TERMS)
+    fact = np.cumprod(np.arange(2.0, _TAYLOR_TERMS + 2.0))
+    powers = (lam[keep][:, None] / lmax) ** (k + 1)
+    taylor = (coef_b[keep][:, None] * powers).real.sum(axis=0) / fact
+    j = np.arange(top + 1.0)
+    x = a - j
+    ax = np.abs(x)
 
-        def integrand(s: np.ndarray) -> np.ndarray:
-            delta, _, gs = closed_forms(p, s)
-            return np.exp(gs - shift) * delta
+    def series(t: np.ndarray) -> np.ndarray:
+        t = t[:, None]
+        # e^(-a tau) (e^(x tau) - 1) = sign(x) e^(-min(a, j) tau) h, and its
+        # quotient by x.
+        h = -np.expm1(-ax * t)
+        d = np.exp(-np.minimum(a, j) * t)
+        f = np.sign(x) * d * h
+        g = d * np.where(ax > 0.0, h / np.where(ax > 0.0, ax, 1.0), t)
+        e = np.exp(-j * t)
+        # Half the phase tau/r, reduced in extended precision: rounding tau/r
+        # to a double would alone cost more than 1e-12 of Delta_Gamma at r = 1e-6.
+        half = np.fmod(t.astype(np.longdouble) / (2.0 * r), _TWO_PI).astype(float)
+        sin, cos = np.sin(half * j), np.cos(half * j)
+        # e^(i k tau/r) - 1 = 2i sin(k half) e^(i k half)
+        xr, xi = -2.0 * sin * sin, 2.0 * sin * cos
+        # `take` keeps each row contiguous, so a row sums in the same order
+        # however many rows there are: a scalar equals its grid entry.
+        ej = np.take(e, jt, axis=1)
+        terms = q.real * (np.take(f, jt, axis=1) + ej * np.take(xr, kt, axis=1))
+        terms -= q.imag * (ej * np.take(xi, kt, axis=1))
+        total = (bd * np.take(g, dj, axis=1)).sum(axis=1) + terms.sum(axis=1)
+        small = t[:, 0] <= _TAYLOR_REACH / lmax
+        if small.any():
+            ts = t[small, 0]
+            ys = ts * lmax
+            total[small] = np.exp(-a * ts) * ts * ys * (taylor * ys[:, None] ** k).sum(axis=1)
+        re_cz = e[:, 1] * (c.real * (1.0 + xr[:, 1]) - c.imag * xi[:, 1])
+        return pref_delta * np.exp(-re_cz) * total
 
-        value, error, magnitude = integrate_panels(integrand, lo[part], hi[part])
-        np.add.at(sums, seg[part], value)
-        np.add.at(errors, seg[part], error)
-        np.add.at(magnitudes, seg[part], magnitude)
-    bad = ~(errors <= tol * magnitudes)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise IntegrationError(
-            f"Delta_Gamma quadrature did not converge at tau={float(taus[k])!r} "
-            f"(error estimate {errors[k]:.3e} against integral of |integrand| "
-            f"{magnitudes[k]:.3e})"
-        )
-
-    decay = np.exp(np.concatenate(([0.0], big[:-1])) - big)
-    values = []
-    d = 0.0
-    for q, inc in zip(decay.tolist(), sums.tolist()):
-        d = q * d + inc
-        values.append(d)
-    return np.array(values)
+    step = max(1, _PASS_VALUES // (q.size + top + 1))
+    return np.concatenate([series(taus[i:i + step]) for i in range(0, taus.size, step)])
 
 
-def delta_big_gamma(p: PhysicalParams, tau: float, tol: float = DEFAULT_TOL) -> float:
+def delta_big_gamma(p: PhysicalParams, tau: float) -> float:
     """Damped integrated diffusion Delta_Gamma(tau).
 
-    exp(-Gamma(tau)) * integral_0^tau exp(Gamma(s)) Delta(s) ds, computed by
-    the code behind `coefficient_grid` on the one-point grid [tau]; ``tol``
-    is the relative tolerance on the quadrature's error estimate.
+    exp(-Gamma(tau)) * integral_0^tau exp(Gamma(s)) Delta(s) ds, in the closed
+    form of `coefficient_grid`, so a scalar value equals the corresponding
+    grid entry bit for bit.
 
     Raises
     ------
     IntegrationError
-        If the quadrature's error estimate misses the tolerance.
+        If |c| = 2 g^2 r^2/(1+r^2) is above the series' cap (strong coupling).
     """
-    t = np.array([_check_tau(tau)])
-    return float(_delta_gamma(p, t, closed_forms(p, t)[2], tol)[0])
+    return float(_delta_gamma(p, np.array([_check_tau(tau)]))[0])
 
 
-def coefficient_grid(
-    p: PhysicalParams, taus: Sequence[float], tol: float = DEFAULT_TOL
-) -> CoefficientGrid:
+def coefficient_grid(p: PhysicalParams, taus: Sequence[float]) -> CoefficientGrid:
     """Evaluate all four coefficients on an increasing time grid.
 
-    Delta, gamma and Gamma come from `closed_forms`; Delta_Gamma is carried
-    from one grid point to the next, so the quadrature cost is O(n) panels
-    plus the panels spanning the transient.
+    Delta, gamma and Gamma come from `closed_forms`, Delta_Gamma from its
+    closed-form series; every entry is computed from its own time alone.
     """
     taus = np.array(taus, dtype=float)
     if taus.ndim != 1:
@@ -325,7 +347,7 @@ def coefficient_grid(
         if np.any(np.diff(taus) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
     delta, gamma, big = closed_forms(p, taus)
-    return CoefficientGrid(taus, delta, gamma, big, _delta_gamma(p, taus, big, tol))
+    return CoefficientGrid(taus, delta, gamma, big, _delta_gamma(p, taus))
 
 
 def classify_lindblad(

@@ -30,12 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import (
-    DEFAULT_TOL,
-    CoefficientGrid,
-    PhysicalParams,
-    coefficient_grid,
-)
+from .coefficients import CoefficientGrid, PhysicalParams, coefficient_grid
 
 # Tolerance slack on the uncertainty bound det(cov) >= 1/4.
 PHYSICALITY_TOL = 1e-9
@@ -177,18 +172,16 @@ def _channel(
     return mean, cov
 
 
-def propagate(
-    state0: GaussianState, p: PhysicalParams, tau: float, tol: float = DEFAULT_TOL
-) -> GaussianState:
+def propagate(state0: GaussianState, p: PhysicalParams, tau: float) -> GaussianState:
     """Evolve a Gaussian state to time ``tau`` (lab frame), single shot.
 
-    Quadrature-convergence failures from the Delta_Gamma integral propagate
-    as IntegrationError.
+    The coefficients are closed forms; a coupling above the Delta_Gamma
+    series' cap raises IntegrationError.
     """
     tau = float(tau)
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    mean, cov = _channel(state0, p, coefficient_grid(p, [tau], tol=tol))
+    mean, cov = _channel(state0, p, coefficient_grid(p, [tau]))
     return GaussianState(mean[0], cov[0])
 
 
@@ -265,12 +258,11 @@ def evolve_trajectory(
     p: PhysicalParams,
     tau_max: float,
     n_steps: int,
-    tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """Propagate on a uniform grid of ``n_steps`` points over [0, tau_max].
 
-    Delta_Gamma is accumulated incrementally across the grid; each state is
-    otherwise identical to a single-shot `propagate`.  Raises ValueError if
+    Each state equals a single-shot `propagate` to the same time bit for bit:
+    every coefficient comes from its own time alone.  Raises ValueError if
     some state violates the uncertainty bound det(cov) >= 1/4 beyond
     `PHYSICALITY_TOL`.
     """
@@ -279,7 +271,7 @@ def evolve_trajectory(
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
     times = np.linspace(0.0, tau_max, n_steps)
-    coeffs = coefficient_grid(p, times, tol=tol)
+    coeffs = coefficient_grid(p, times)
     mean, cov = _channel(state0, p, coeffs)
     physical = (_det(cov) >= 0.25 - PHYSICALITY_TOL) & (cov[:, 0, 0] > 0.0)
     if not physical.all():

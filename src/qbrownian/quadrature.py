@@ -1,11 +1,12 @@
-"""1-D quadrature: Gauss-Legendre panels for the library, fixed-grid Simpson as the check.
+"""1-D quadrature oracle and the numerical-failure exception.
 
-`integrate_panels` applies a fixed pair of Gauss-Legendre rules to many
-panels at once on arrays, with an error estimate per panel; the library's
-Delta_Gamma integral runs on it.  `integrate_fixed` is composite Simpson on a
-uniform mesh, evaluated point by point in plain Python.  Tests use it as the
-independent cross-check of the library's integrals, so the two must never
-share code paths.
+The library computes every coefficient in closed form; nothing in it
+integrates numerically.  `integrate_fixed` is composite Simpson on a uniform
+mesh, evaluated point by point in plain Python.  Tests use it as the
+independent cross-check of the library's closed forms, so it must never share
+code paths with them.  `IntegrationError` is the library's numerical failure:
+an integrand value that is not finite here, a coupling beyond the Delta_Gamma
+series' reach, or a Fock-oracle or Lindblad-classification limit.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 
 class IntegrationError(Exception):
-    """Raised when an integral cannot be computed to its tolerance.
+    """Raised when a quantity cannot be computed to double precision.
 
-    That covers a non-finite integrand value and an error estimate that does
-    not meet the tolerance.
+    The command line maps it to exit code 3.
     """
 
 
@@ -29,60 +27,6 @@ def _checked_call(f: Callable[[float], float], x: float) -> float:
     if not math.isfinite(v):
         raise IntegrationError(f"integrand returned non-finite value {v!r} at x={x!r}")
     return v
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence, the weights twice the squared first components of
-    its eigenvectors.
-    """
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return nodes, 2.0 * vecs[0] ** 2
-
-
-# The 10-point rule gives the value, the 5-point rule on the same panel the
-# error estimate; the two share no nodes, so a panel costs 15 evaluations.
-_FINE = _gauss_legendre(10)
-_COARSE = _gauss_legendre(5)
-
-
-def integrate_panels(
-    f: Callable[[np.ndarray], np.ndarray], a, b
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrals of ``f`` over the panels [a[i], b[i]], all panels in one call.
-
-    ``f`` maps an array of abscissae of shape (panels, 15) to integrand
-    values of the same shape.  Each panel gets the 10-point Gauss-Legendre
-    rule; the 5-point rule on the same panel gives the error estimate
-    |Q10 - Q5|, which bounds the error of the 5-point value and so, very
-    pessimistically, that of the 10-point one.
-
-    Returns
-    -------
-    (value, error_estimate, magnitude)
-        Arrays with one entry per panel; ``magnitude`` is the 10-point
-        estimate of the integral of |f|, the scale against which a relative
-        tolerance is judged when the integrand oscillates.  Non-finite
-        integrand values give a NaN error estimate.
-    """
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    half = 0.5 * (b - a)
-    x_fine, w_fine = _FINE
-    x_coarse, w_coarse = _COARSE
-    vals = f(0.5 * (a + b) + half * np.concatenate([x_fine, x_coarse]))
-    fine, coarse = vals[:, :10], vals[:, 10:]
-    half = half[:, 0]
-    value = (fine * w_fine).sum(axis=1) * half
-    estimate = (coarse * w_coarse).sum(axis=1) * half
-    with np.errstate(invalid="ignore"):
-        error = np.where(np.isfinite(value), np.abs(value - estimate), np.nan)
-    magnitude = (np.abs(fine) * w_fine).sum(axis=1) * half
-    return value, error, magnitude
 
 
 def integrate_fixed(f: Callable[[float], float], a: float, b: float, panels: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import DEFAULT_TOL, PhysicalParams, big_gamma, delta_big_gamma
+from .coefficients import PhysicalParams, big_gamma, delta_big_gamma
 from .gaussian import GaussianState
 
 _SQRT2 = math.sqrt(2.0)
@@ -162,7 +162,6 @@ def propagator(
     tau: float,
     alpha: complex,
     alpha0: complex,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Phase-space propagator W_tau(alpha | alpha0) of the Gaussian channel.
 
@@ -176,7 +175,7 @@ def propagator(
         raise ValueError(
             f"propagator requires tau > 0 (delta distribution at tau=0), got {tau!r}"
         )
-    dg = delta_big_gamma(p, tau, tol=tol)
+    dg = delta_big_gamma(p, tau)
     if dg <= 0.0:
         raise ValueError(f"non-positive Delta_Gamma = {dg!r} is unphysical")
     b = complex(alpha) - _drift_factor(p, tau) * complex(alpha0)
@@ -188,7 +187,6 @@ def wigner_coherent_closed(
     p: PhysicalParams,
     tau: float,
     grid: GridSpec,
-    tol: float = DEFAULT_TOL,
 ) -> WignerGrid:
     """Closed-form evolved Wigner function of an initial coherent state.
 
@@ -206,7 +204,7 @@ def wigner_coherent_closed(
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     gt = big_gamma(p, tau)
-    dg = delta_big_gamma(p, tau, tol=tol) if tau > 0.0 else 0.0
+    dg = delta_big_gamma(p, tau) if tau > 0.0 else 0.0
     v = dg + 0.5 * math.exp(-gt)
     center = _drift_factor(p, tau) * complex(alpha0)
     ux = grid.x_coords() - center.real
@@ -229,7 +227,6 @@ def wigner_by_convolution(
     tau: float,
     grid: GridSpec,
     inner: GridSpec,
-    tol: float = DEFAULT_TOL,
 ) -> WignerGrid:
     """Evolved Wigner function by brute-force propagator convolution.
 
@@ -267,7 +264,7 @@ def wigner_by_convolution(
             "inner grid does not cover 6 standard deviations of the initial state"
         )
 
-    dg = delta_big_gamma(p, tau, tol=tol)
+    dg = delta_big_gamma(p, tau)
     if dg <= 0.0:
         raise ValueError(f"non-positive Delta_Gamma = {dg!r} is unphysical")
     c = _drift_factor(p, tau)

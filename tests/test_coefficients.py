@@ -169,27 +169,18 @@ def test_grid_validation():
     assert len(only) == 1 and only.tau[0] == 0.25
 
 
-def test_nonconverged_quadrature_surfaces_tau(monkeypatch):
-    def never_converges(f, a, b):
-        # error estimate equal to the integral of |f|: no tolerance below 1 holds
-        ones = np.ones(len(a))
-        return 0.0 * ones, ones, ones
-
-    monkeypatch.setattr("qbrownian.coefficients.integrate_panels", never_converges)
-    with pytest.raises(IntegrationError, match="0.45"):
-        delta_big_gamma(FIG1, 0.45)
-
-
 def test_scalar_functions_equal_array_kernel_bit_for_bit():
     rng = np.random.default_rng(11)
     for p in (FIG1, PhysicalParams(g=0.3, r=1.7, kt_over_wc=20.0)):
         taus = np.sort(rng.uniform(0.0, 60.0, size=4001))
         delta, gamma, big = closed_forms(p, taus)
+        delta_gamma = coefficient_grid(p, taus).delta_gamma
         for k in range(0, taus.size, 7):
             tau = float(taus[k])
             assert delta_coeff(p, tau) == delta[k]
             assert gamma_coeff(p, tau) == gamma[k]
             assert big_gamma(p, tau) == big[k]
+            assert delta_big_gamma(p, tau) == delta_gamma[k]
 
 
 def test_grid_delta_gamma_matches_single_shot():
@@ -197,13 +188,12 @@ def test_grid_delta_gamma_matches_single_shot():
         for tau_max, n in ((1.0, 2000), (50.0, 1001), (300.0, 7)):
             grid = coefficient_grid(p, np.linspace(0.0, tau_max, n))
             for k in range(1, n, max(1, n // 40)):
-                one = delta_big_gamma(p, float(grid.tau[k]))
-                assert abs(grid.delta_gamma[k] / one - 1.0) <= 1e-13
+                assert grid.delta_gamma[k] == delta_big_gamma(p, float(grid.tau[k]))
 
 
-def _mp_delta_gamma(r, taus):
-    """Delta_Gamma at increasing taus for g = 0.1 and the FIG1 temperature, by
-    30-digit mpmath.quad of the unshifted integral exp(Gamma) * Delta.
+def _mp_delta_gamma(r, taus, g=0.1):
+    """Delta_Gamma at increasing taus for coupling g and the FIG1 temperature,
+    by 30-digit mpmath.quad of the unshifted integral exp(Gamma) * Delta.
 
     Gauss-Legendre on pieces of four oscillation periods up to tau = 45 (the
     transient), one piece after it; Delta and Gamma are written out here in
@@ -211,7 +201,7 @@ def _mp_delta_gamma(r, taus):
     """
     mp = mpmath.mp.clone()
     mp.dps = 30
-    g, kt, r = mp.mpf("0.1"), mp.mpf(FIG1.kt_over_wc), mp.mpf(r)
+    g, kt, r = mp.mpf(g), mp.mpf(FIG1.kt_over_wc), mp.mpf(r)
     w = 1 / r
     a_delta = 2 * g**2 * kt * r**2 / (1 + r**2)
     a_gamma = g**2 * r / (1 + r**2)
@@ -262,6 +252,27 @@ def test_delta_gamma_matches_mpmath():
             refs.update(MP_DG_R0001)
         for tau in taus:
             assert abs(delta_big_gamma(p, tau) / refs[tau] - 1.0) <= 1e-12, (r, tau)
+
+
+@pytest.mark.parametrize("r, g, taus", [
+    # 1e-5: up to 160 periods; tiny times where Delta_Gamma is ~1e-13
+    (1e-5, 0.1, (1e-7, 1e-4, 1e-3, 0.01)),
+    (1.0, 0.1, (1e-8, 1e-6)),
+    # |c| = 1.8: the series runs to total degree 25
+    (3.0, 1.0, (0.01, 0.3, 2.0, 20.0)),
+])
+def test_delta_gamma_matches_mpmath_at_extremes(r, g, taus):
+    p = PhysicalParams(g=g, r=r, kt_over_wc=FIG1.kt_over_wc)
+    for tau, ref in zip(taus, _mp_delta_gamma(r, taus, g)):
+        assert abs(delta_big_gamma(p, tau) / ref - 1.0) <= 1e-12, (r, g, tau)
+
+
+def test_strong_coupling_above_series_cap_names_c():
+    # |c| = 2 g^2 r^2/(1+r^2) = 17.8 at g = 3, r = 10
+    with pytest.raises(IntegrationError, match=r"\|c\| = 17\.8"):
+        coefficient_grid(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), [0.0, 1.0])
+    with pytest.raises(IntegrationError, match=r"\|c\|"):
+        delta_big_gamma(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), 1.0)
 
 
 def test_classification_fig1_is_not_lindblad_type():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbrownian.coefficients import PhysicalParams, big_gamma, gamma_coeff
-from qbrownian.quadrature import IntegrationError, integrate_fixed, integrate_panels
+from qbrownian.quadrature import IntegrationError, integrate_fixed
 
 FIG1 = PhysicalParams(g=0.1, r=0.05, kt_over_wc=1.0 / (2.0 * math.pi * 3.0e-5))
 
@@ -50,19 +50,3 @@ def test_precondition_errors():
 
 def test_empty_interval():
     assert integrate_fixed(math.sin, 1.0, 1.0, 4) == 0.0
-
-
-def test_panels_exact_for_degree_19_with_error_estimate():
-    a = np.array([0.0, -1.0, 2.0])
-    b = np.array([1.0, 0.5, 2.0])
-    value, error, magnitude = integrate_panels(lambda x: x**19 + x**4, a, b)
-    want = (b**20 - a**20) / 20.0 + (b**5 - a**5) / 5.0
-    np.testing.assert_allclose(value, want, rtol=1e-14, atol=1e-16)
-    # the 5-point rule is exact only to degree 9, so x^19 shows in the estimate
-    assert error[0] > 1e-6 and error[2] == 0.0
-    assert np.all(magnitude >= np.abs(value))
-    value, error, _ = integrate_panels(np.sin, [0.0], [math.pi])
-    assert value[0] == pytest.approx(2.0, rel=1e-14)
-    assert error[0] < 1e-6
-    _, error, _ = integrate_panels(lambda x: np.where(x > 0.5, np.inf, x), [0.0], [1.0])
-    assert np.isnan(error[0])
