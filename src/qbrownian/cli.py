@@ -42,11 +42,11 @@ from .gaussian import (
     make_coherent,
     make_squeezed,
     oscillation_period,
+    propagate,
     squeeze_from_sigma2,
 )
 from .quadrature import IntegrationError
 from .wigner import GridSpec, wigner_gaussian
-from .gaussian import propagate
 
 # Temperature of the default reservoir: omega_c/(2 pi kT) = 3e-5.
 DEFAULT_KT_OVER_WC = 1.0 / (2.0 * math.pi * 3.0e-5)
@@ -56,6 +56,8 @@ DEFAULT_KT_OVER_WC = 1.0 / (2.0 * math.pi * 3.0e-5)
 MAX_STEPS = 1 << 20
 MAX_GRID_POINTS = 1 << 22
 MAX_WIGNER_VALUES = 1 << 24
+# CSV rows formatted per write, so no file's whole text is held in memory.
+_CSV_CHUNK = 1 << 14
 
 
 @dataclass
@@ -105,6 +107,10 @@ class RunConfig:
             )
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
+        if not (self.n_sigma > 0.0 and math.isfinite(self.n_sigma)):
+            raise ValueError(f"n-sigma must be finite and > 0, got {self.n_sigma!r}")
         for t in self.tau_list():
             if t < 0.0:
                 raise ValueError(f"wigner times must be >= 0, got {t!r}")
@@ -181,14 +187,19 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then one row per index of the equal-length columns.
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write the header, then one row per index of the equal-length columns.
 
     ``tolist()`` turns the columns into Python floats, whose ``repr`` is the
     shortest decimal text that reads back to the same double.
     """
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = zip(*(c[i:i + _CSV_CHUNK].tolist() for c in columns))
+            fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    print(f"wrote {path}")
 
 
 def cmd_coeffs(cfg: RunConfig) -> None:
@@ -199,7 +210,7 @@ def cmd_coeffs(cfg: RunConfig) -> None:
     names = ("tau", "delta", "gamma", "big_gamma", "delta_gamma")
     columns = [getattr(grid, name) for name in names]
     if cfg.format == "csv":
-        _write_text(_out_path(cfg, "coeffs", "csv"), _csv(",".join(names), columns))
+        _write_csv(_out_path(cfg, "coeffs", "csv"), ",".join(names), columns)
     else:
         data = {name: col.tolist() for name, col in zip(names, columns)}
         data["version"] = __version__
@@ -207,7 +218,7 @@ def cmd_coeffs(cfg: RunConfig) -> None:
 
 
 def _moments_summary(cfg: RunConfig, traj) -> dict:
-    period = oscillation_period(list(zip(traj.times, traj.n_mean)))
+    period = oscillation_period(np.column_stack((traj.times, traj.n_mean)))
     return {
         "oscillation_period": period,
         "squeezing_intervals_x": [list(iv) for iv in detect_squeezing_intervals(traj, "x")],
@@ -223,39 +234,31 @@ def cmd_moments(cfg: RunConfig) -> None:
     vx, vy, cxy = traj.variances(frame=cfg.frame)
     mx, my = traj.means(frame=cfg.frame)
     summary = _moments_summary(cfg, traj)
+    names = ("tau", "n_mean", "var_x", "var_y", "cov_xy", "mean_x", "mean_y")
+    columns = (traj.times, traj.n_mean, vx, vy, cxy, mx, my)
     if cfg.format == "csv":
         out = _out_path(cfg, "moments", "csv")
-        _write_text(out, _csv("tau,n_mean,var_x,var_y,cov_xy,mean_x,mean_y",
-                              (traj.times, traj.n_mean, vx, vy, cxy, mx, my)))
+        _write_csv(out, ",".join(names), columns)
         _write_text(out.with_suffix(".summary.json"), _json_dumps(summary))
     else:
-        data = {
-            "tau": traj.times.tolist(),
-            "n_mean": traj.n_mean.tolist(),
-            "var_x": vx.tolist(),
-            "var_y": vy.tolist(),
-            "cov_xy": cxy.tolist(),
-            "mean_x": mx.tolist(),
-            "mean_y": my.tolist(),
-            "frame": cfg.frame,
-            "summary": summary,
-        }
+        data = {name: col.tolist() for name, col in zip(names, columns)}
+        data.update(frame=cfg.frame, summary=summary)
         _write_text(_out_path(cfg, "moments", "json"), _json_dumps(data))
 
 
-def _grid_csv(grid) -> str:
+def _write_grid_csv(path: Path, grid) -> None:
     """Header ``# x_min,x_max,y_min,y_max,nx,ny``, then one row per y node."""
     s = grid.spec
     # Python floats: under NumPy 2 the repr of an np.float64 extent is not bare.
     extents = [float(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)]
     header = "# " + ",".join([*map(repr, extents), str(s.nx), str(s.ny)])
     # Row ix of values is the x column, so row iy of the file holds W(x_*, y_iy).
-    return _csv(header, grid.values)
+    _write_csv(path, header, grid.values)
 
 
-def _grid_json(grid) -> str:
+def _write_grid_json(path: Path, grid) -> None:
     s = grid.spec
-    return _json_dumps(
+    _write_text(path, _json_dumps(
         {
             "x_min": s.x_min,
             "x_max": s.x_max,
@@ -266,7 +269,7 @@ def _grid_json(grid) -> str:
             "values": grid.values.T.tolist(),
             "version": __version__,
         }
-    )
+    ))
 
 
 def cmd_wigner(cfg: RunConfig) -> None:
@@ -284,8 +287,8 @@ def cmd_wigner(cfg: RunConfig) -> None:
     for path, tau in paths.items():
         state = propagate(state0, p, tau)
         grid = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
-        wg = wigner_gaussian(state, grid)
-        _write_text(path, _grid_csv(wg) if cfg.format == "csv" else _grid_json(wg))
+        write = _write_grid_csv if cfg.format == "csv" else _write_grid_json
+        write(path, wigner_gaussian(state, grid))
 
 
 def cmd_classify(cfg: RunConfig) -> None:

@@ -161,6 +161,12 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _half_phase(tau, r: float):
+    """tau/(2 r) modulo 2 pi, reduced in extended precision: rounding tau/r to
+    a double first would put its error, 1e-10 at r = 1e-6, in every phase."""
+    return np.fmod(np.asarray(tau, dtype=np.longdouble) / (2.0 * r), _TWO_PI).astype(float)
+
+
 def closed_forms(
     p: PhysicalParams, tau
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,8 +180,8 @@ def closed_forms(
     w = 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
     e = np.exp(-tau)
-    c = np.cos(w * tau)
-    s = np.sin(w * tau)
+    phase = 2.0 * _half_phase(tau, p.r)
+    c, s = np.cos(phase), np.sin(phase)
     bracket = 1.0 - e * (c - w * s)
     delta = pref_delta * bracket
     gamma = pref_gamma * (1.0 - e * c - p.r * e * s)
@@ -291,9 +297,7 @@ def _delta_gamma(p: PhysicalParams, taus: np.ndarray) -> np.ndarray:
         f = np.sign(x) * d * h
         g = d * np.where(ax > 0.0, h / np.where(ax > 0.0, ax, 1.0), t)
         e = np.exp(-j * t)
-        # Half the phase tau/r, reduced in extended precision: rounding tau/r
-        # to a double would alone cost more than 1e-12 of Delta_Gamma at r = 1e-6.
-        half = np.fmod(t.astype(np.longdouble) / (2.0 * r), _TWO_PI).astype(float)
+        half = _half_phase(t, r)
         sin, cos = np.sin(half * j), np.cos(half * j)
         # e^(i k tau/r) - 1 = 2i sin(k half) e^(i k half)
         xr, xi = -2.0 * sin * sin, 2.0 * sin * cos

@@ -6,20 +6,17 @@ acts on the characteristic function as
 
     chi_tau(xi) = exp(-Delta_Gamma(tau) |xi|^2) * chi_0(e^(-Gamma/2) e^(-i w0 tau) xi)
 
-which on second moments reads
+In the frame corotating with the oscillator, where the free rotation
+e^(-i w0 tau) is undone, it contracts the state and adds isotropic noise:
 
-    mean(tau) = e^(-Gamma/2) R(-w0 tau) mean(0)
-    cov(tau)  = e^(-Gamma)   R(-w0 tau) cov(0) R(-w0 tau)^T + Delta_Gamma * I
+    mean(tau) = e^(-Gamma/2) mean(0),   cov(tau) = e^(-Gamma) cov(0) + Delta_Gamma * I
 
-with R the 2x2 rotation.  This is the "lab frame": the free oscillator
-rotation is included.  Squeezing is a corotating-frame notion (the frame in
-which that rotation is undone), so the interval detector below works on
-corotating variances; `GaussianState.rotated` and `Trajectory.variances` /
-`Trajectory.means` convert between frames.
-
-`_channel` applies that law to a whole time grid at once; `propagate` is its
-one-time case and `evolve_trajectory` its grid case, whose `Trajectory`
-stores the moments as arrays.
+`_channel` applies this law on a time grid.  The lab frame is one rotation
+R(-w0 tau) of its result, applied where a lab state leaves this module: the
+state `propagate` returns and the moments `evolve_trajectory` stores.
+Corotating moments (`Trajectory.variances`/`means`, squeezing intervals)
+evaluate the law itself; the uncertainty bound and <n>, both rotation
+invariants, are taken on them too.
 """
 
 from __future__ import annotations
@@ -154,21 +151,14 @@ def squeeze_from_sigma2(sigma2: float) -> float:
     return -0.5 * math.log(sigma2)
 
 
-def _channel(
-    state0: GaussianState, p: PhysicalParams, coeffs: CoefficientGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lab-frame means (n, 2) and covariances (n, 2, 2) at the grid's times.
+def _channel(state0: GaussianState, coeffs: CoefficientGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Corotating means (n, 2) and covariances (n, 2, 2) at the grid's times.
 
-    mean = e^(-Gamma/2) R(-w0 tau) mean0, cov = e^(-Gamma) R cov0 R^T + Delta_Gamma I.
+    mean = e^(-Gamma/2) mean0, cov = e^(-Gamma) cov0 + Delta_Gamma I.
     """
-    mean, cov = _rotate(
-        np.broadcast_to(state0.mean, (len(coeffs), 2)),
-        np.broadcast_to(state0.cov, (len(coeffs), 2, 2)),
-        -p.omega0 * coeffs.tau,
-    )
     decay = np.exp(-coeffs.big_gamma)
-    mean = np.sqrt(decay)[:, None] * mean
-    cov = decay[:, None, None] * cov + coeffs.delta_gamma[:, None, None] * np.eye(2)
+    mean = np.sqrt(decay)[:, None] * state0.mean
+    cov = decay[:, None, None] * state0.cov + coeffs.delta_gamma[:, None, None] * np.eye(2)
     return mean, cov
 
 
@@ -181,7 +171,8 @@ def propagate(state0: GaussianState, p: PhysicalParams, tau: float) -> GaussianS
     tau = float(tau)
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    mean, cov = _channel(state0, p, coefficient_grid(p, [tau]))
+    coeffs = coefficient_grid(p, [tau])
+    mean, cov = _rotate(*_channel(state0, coeffs), -p.omega0 * coeffs.tau)
     return GaussianState(mean[0], cov[0])
 
 
@@ -201,9 +192,9 @@ class Trajectory:
     At ``times[k]`` the state has mean ``mean[k]`` (shape (n, 2) overall) and
     covariance ``cov[k]`` (shape (n, 2, 2)), mean quantum number
     ``n_mean[k]``, and coefficient values ``coeffs.<column>[k]``; `state`
-    returns it as a `GaussianState`.  ``params`` is kept so the free
-    rotation can be undone when corotating-frame moments are needed.  The
-    arrays are stored read-only.
+    returns it as a `GaussianState`.  ``times`` starts at 0, where the frames
+    coincide, so corotating moments follow from the first state and
+    ``coeffs``; ``params`` records the model.  The arrays are read-only.
     """
 
     times: np.ndarray
@@ -226,6 +217,8 @@ class Trajectory:
             raise ValueError("trajectory field lengths differ")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
+        if not (n and self.times[0] == 0.0):
+            raise ValueError("trajectory times must start at 0")
 
     def state(self, k: int) -> GaussianState:
         """The state at ``times[k]`` (lab frame)."""
@@ -236,7 +229,7 @@ class Trajectory:
             raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
         if frame == "lab":
             return self.mean, self.cov
-        return _rotate(self.mean, self.cov, self.params.omega0 * self.times)
+        return _channel(self.state(0), self.coeffs)
 
     def variances(self, frame: str = "lab") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(var_x, var_y, cov_xy) arrays in the requested frame.
@@ -272,14 +265,15 @@ def evolve_trajectory(
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
     times = np.linspace(0.0, tau_max, n_steps)
     coeffs = coefficient_grid(p, times)
-    mean, cov = _channel(state0, p, coeffs)
+    mean, cov = _channel(state0, coeffs)
     physical = (_det(cov) >= 0.25 - PHYSICALITY_TOL) & (cov[:, 0, 0] > 0.0)
     if not physical.all():
         k = int(np.argmin(physical))
         raise ValueError(
             f"state at tau={float(times[k])!r} is unphysical: det(cov) = {float(_det(cov[k]))!r}"
         )
-    return Trajectory(times, mean, cov, _quanta(mean, cov), coeffs, p)
+    n_mean = _quanta(mean, cov)
+    return Trajectory(times, *_rotate(mean, cov, -p.omega0 * times), n_mean, coeffs, p)
 
 
 def detect_squeezing_intervals(
@@ -316,18 +310,19 @@ def detect_squeezing_intervals(
     return list(zip(bounds[::2], bounds[1::2]))
 
 
-def oscillation_period(samples: Iterable[Sequence[float]]) -> float | None:
+def oscillation_period(samples: np.ndarray | Iterable[Sequence[float]]) -> float | None:
     """Mean spacing of downward zero crossings of a detrended signal.
 
-    The trend is a moving average with time window equal to one-third of the
+    ``samples`` is an (n, 2) array or an iterable of (tau, value) pairs.  The
+    trend is a moving average with time window equal to one-third of the
     sampled span.  Crossings (detrended value passing from > 0 to <= 0) are
     located by linear interpolation, and only count once the detrended signal
-    has risen above a small fraction of its own amplitude — without that
-    hysteresis, trend-dominated signals (e.g. monotone ramps) register their
-    floating-point ripple as oscillations.  Returns None when fewer than two
-    crossings are found.
+    has risen above a small fraction of its own amplitude since the previous
+    crossing — without that hysteresis, trend-dominated signals (e.g.
+    monotone ramps) register their floating-point ripple as oscillations.
+    Returns None when fewer than two crossings are found.
     """
-    pts = np.asarray(list(samples), dtype=float)
+    pts = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("need at least 3 (tau, value) samples")
     t = pts[:, 0]
@@ -346,16 +341,14 @@ def oscillation_period(samples: Iterable[Sequence[float]]) -> float | None:
     d = v - trend
 
     eps = 1e-9 * float(np.max(np.abs(d)))
-    crossings: list[float] = []
-    armed = False
-    for i in range(len(d) - 1):
-        if d[i] > eps:
-            armed = True
-        if armed and d[i] > 0.0 >= d[i + 1]:
-            # Linear interpolation for the zero of d on [t_i, t_i+1].
-            frac = d[i] / (d[i] - d[i + 1])
-            crossings.append(float(t[i] + frac * (t[i + 1] - t[i])))
-            armed = False
-    if len(crossings) < 2:
+    # Downward crossing i counts iff some d_j > eps with j in (previous
+    # downward crossing, i], whether or not that previous one counted.
+    i = np.flatnonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))
+    risen = np.cumsum(d > eps)[i]
+    i = i[risen > np.concatenate(([0], risen[:-1]))]
+    if len(i) < 2:
         return None
+    # Linear interpolation for the zero of d on [t_i, t_i+1].
+    frac = d[i] / (d[i] - d[i + 1])
+    crossings = t[i] + frac * (t[i + 1] - t[i])
     return float((crossings[-1] - crossings[0]) / (len(crossings) - 1))

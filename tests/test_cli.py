@@ -170,6 +170,30 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert "must be finite, got g = 1e+200" in err
 
 
+def test_non_finite_phi_and_bad_n_sigma_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "w.csv")
+    assert main(["moments", "--phi=inf", "--steps=5", "--out", out]) == 2
+    for n_sigma in ("-1", "0", "nan"):
+        assert main(["wigner", f"--n-sigma={n_sigma}", "--nx=5", "--ny=5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "phi must be finite, got inf" in err
+    assert err.count("n-sigma must be finite and > 0") == 3
+    assert "np.float64" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_csv_rows_past_one_chunk(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * cli._CSV_CHUNK + 5
+    columns = [rng.normal(size=n), rng.uniform(-1e300, 1e300, n), np.arange(n) * 0.1]
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, "a,b,c", columns)
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "a,b,c" and lines[-1] == "" and len(lines) == n + 2
+    for row, line in zip(zip(*(c.tolist() for c in columns)), lines[1:]):
+        assert line == ",".join(map(repr, row))
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise IntegrationError("quadrature did not converge")
@@ -219,6 +243,16 @@ def test_edge_inputs_succeed(tmp_path):
     assert main(["moments", "--tau-max", "2e6", "--steps", "10",
                  "--out", str(tmp_path / "m.csv")]) == 0
     assert time.process_time() - start < 1.0
+
+
+def test_uncoupled_pure_squeezed_states_succeed(tmp_path):
+    # g = 0 keeps these states pure; a physicality check on lab moments, where
+    # the rotation mixes variances e^(+-2s)/2, lost up to eps e^(4s) of det(cov)
+    for flag in ("--sigma2=1e-4", "--squeeze-s=12"):
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--g=0", flag, "--frame=corotating", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(row[1:] == rows[0][1:] for row in rows), flag
 
 
 def test_small_r_and_small_tau_succeed(tmp_path):

@@ -267,6 +267,23 @@ def test_delta_gamma_matches_mpmath_at_extremes(r, g, taus):
         assert abs(delta_big_gamma(p, tau) / ref - 1.0) <= 1e-12, (r, g, tau)
 
 
+@pytest.mark.parametrize("r", [1e-6, 1e-5])
+def test_delta_gamma_coefficients_match_mpmath_at_small_r(r):
+    # tau/r reaches 3e6 radians: the phase must be reduced without first
+    # rounding tau/r to a double
+    p = PhysicalParams(g=0.1, r=r, kt_over_wc=FIG1.kt_over_wc)
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    g2, kt, rr = mp.mpf(p.g) ** 2, mp.mpf(p.kt_over_wc), mp.mpf(r)
+    for tau in (0.162, 0.294, 0.5, 1.0, 3.0):
+        t = mp.mpf(tau)
+        e, c, sn = mp.exp(-t), mp.cos(t / rr), mp.sin(t / rr)
+        delta = 2 * g2 * kt * rr**2 / (1 + rr**2) * (1 - e * (c - sn / rr))
+        gamma = g2 * rr / (1 + rr**2) * (1 - e * c - rr * e * sn)
+        assert abs(delta_coeff(p, tau) / delta - 1) <= 1e-13, (r, tau)
+        assert abs(gamma_coeff(p, tau) / gamma - 1) <= 1e-13, (r, tau)
+
+
 def test_strong_coupling_above_series_cap_names_c():
     # |c| = 2 g^2 r^2/(1+r^2) = 17.8 at g = 3, r = 10
     with pytest.raises(IntegrationError, match=r"\|c\| = 17\.8"):

@@ -213,6 +213,64 @@ def test_squeezing_intervals_edge_cases():
     assert detect_squeezing_intervals(still) == [(0.0, 1.0)]
 
 
+@pytest.mark.parametrize("s", [1.15, 5.0, 12.0])
+def test_uncoupled_corotating_moments_stay_exactly_initial(s):
+    # g = 0 is the identity channel: the corotating moments never move, and
+    # the uncertainty bound holds exactly however strong the squeezing
+    p0 = PhysicalParams(g=0.0, r=0.05, kt_over_wc=FIG1.kt_over_wc)
+    st = make_squeezed(0j, s)
+    traj = evolve_trajectory(st, p0, 1.0, 201)
+    vx, vy, cxy = traj.variances(frame="corotating")
+    mx, my = traj.means(frame="corotating")
+    assert np.all(vx == st.var_x) and np.all(vy == st.var_y) and np.all(cxy == st.cov_xy)
+    assert np.all(mx == st.mean[0]) and np.all(my == st.mean[1])
+
+
+def test_trajectory_must_start_at_zero():
+    traj = evolve_trajectory(make_coherent(1.0), FIG1, 0.5, 11)
+    with pytest.raises(ValueError, match="start at 0"):
+        Trajectory(traj.times + 0.1, traj.mean, traj.cov, traj.n_mean, traj.coeffs, FIG1)
+
+
+def _loop_period(t, v):
+    # Reference for `oscillation_period`: its detrending, then the
+    # hysteresis as a per-sample loop.
+    t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    half = (t[-1] - t[0]) / 6.0
+    csum = np.concatenate([[0.0], np.cumsum(v)])
+    lo = np.searchsorted(t, t - half, side="left")
+    hi = np.searchsorted(t, t + half, side="right")
+    d = v - (csum[hi] - csum[lo]) / (hi - lo)
+    eps = 1e-9 * float(np.max(np.abs(d)))
+    crossings, armed = [], False
+    for i in range(len(d) - 1):
+        if d[i] > eps:
+            armed = True
+        if armed and d[i] > 0.0 >= d[i + 1]:
+            frac = d[i] / (d[i] - d[i + 1])
+            crossings.append(float(t[i] + frac * (t[i + 1] - t[i])))
+            armed = False
+    if len(crossings) < 2:
+        return None
+    return float((crossings[-1] - crossings[0]) / (len(crossings) - 1))
+
+
+def test_oscillation_period_equals_loop_reference():
+    rng = np.random.default_rng(7)
+    for k in range(600):
+        n = int(rng.integers(3, 80))
+        t = np.cumsum(rng.uniform(0.01, 1.0, n))
+        if k % 3 == 0:  # small integers: ties, zeros and exact crossings
+            v = rng.integers(-2, 3, n).astype(float)
+        elif k % 3 == 1:
+            v = rng.normal(size=n)
+        else:
+            v = np.sin(rng.uniform(0.5, 8.0) * t) + rng.uniform(-1.0, 1.0) * t
+        want = _loop_period(t, v)
+        assert oscillation_period(np.column_stack((t, v))) == want, k
+        assert oscillation_period(zip(t, v)) == want, k
+
+
 def test_oscillation_period_on_synthetic_signal():
     t = np.linspace(0.0, 1.0, 2001)
     v = 0.3 * t + np.sin(2.0 * math.pi * t / 0.31416)
