@@ -15,11 +15,14 @@ and no timestamps enter the data.
 
 Exit codes: 0 success, 2 invalid arguments or configuration (including
 sizes above MAX_STEPS, MAX_GRID_POINTS or MAX_WIGNER_VALUES, rejected before
-anything is allocated, and wigner times that would share a file name),
+anything is allocated, wigner times that would share a file name, and a
+sigma2 outside (0, 1]; the message names the flag or config key given),
 3 numerical failure (a coupling |c| = 2 g^2 r^2/(1+r^2) above the
-Delta_Gamma series' cap, the Lindblad bracket cap, or an arithmetic error
-such as overflow; a value that would not be finite counts as one), 4 I/O
-failure.
+Delta_Gamma series' cap, the Lindblad bracket cap, an arithmetic error such
+as overflow, or a lab-frame state that rounding has pushed below the
+uncertainty bound; a value that would not be finite counts as one), 4 I/O
+failure.  `wigner` computes and checks the state at every time before it
+writes its first file, so a run that fails on a state writes no Wigner file.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,6 @@ from .gaussian import (
     propagate,
     squeeze_from_sigma2,
 )
-from .quadrature import IntegrationError
 from .wigner import GridSpec, wigner_gaussian
 
 # Temperature of the default reservoir: omega_c/(2 pi kT) = 3e-5.
@@ -101,19 +103,19 @@ class RunConfig:
             raise ValueError(
                 f"nx*ny must be <= {MAX_GRID_POINTS}, got {self.nx!r}*{self.ny!r}"
             )
-        if self.nx * self.ny * len(self.tau_list()) > MAX_WIGNER_VALUES:
+        taus = self.tau_list()
+        if self.nx * self.ny * len(taus) > MAX_WIGNER_VALUES:
             raise ValueError(
                 f"nx*ny times the number of wigner times must be <= {MAX_WIGNER_VALUES}"
             )
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
+        if not 0.0 < self.sigma2 <= 1.0:
+            raise ValueError(f"sigma2 must be in (0, 1], got {self.sigma2!r}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if not (self.n_sigma > 0.0 and math.isfinite(self.n_sigma)):
             raise ValueError(f"n-sigma must be finite and > 0, got {self.n_sigma!r}")
-        for t in self.tau_list():
-            if t < 0.0:
-                raise ValueError(f"wigner times must be >= 0, got {t!r}")
+        if not taus or min(taus) < 0.0:
+            raise ValueError(f"wigner times must be one or more times >= 0, got {self.times!r}")
         # Parameter validity (g, r, kt_over_wc) is checked by PhysicalParams.
         self.physical_params()
 
@@ -135,56 +137,55 @@ class RunConfig:
             raise ValueError(f"cannot parse times list {self.times!r}") from exc
 
 
-def _load_config_file(path: str) -> dict:
-    valid = {f.name: f.type for f in fields(RunConfig)}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path!r} must hold a JSON object of scalars")
-    for key, val in data.items():
-        if key not in valid:
-            raise ValueError(f"unknown config key {key!r} in {path!r}")
-        if not isinstance(val, (int, float, str, bool)) or isinstance(val, bool):
-            raise ValueError(f"config key {key!r} must be a scalar, got {val!r}")
-    return data
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    defaults = asdict(cfg)
     if args.config is not None:
-        for key, val in _load_config_file(args.config).items():
-            default = getattr(cfg, key)
-            if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh, parse_int=float)  # a JSON number is a double
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config!r} must hold a JSON object of scalars")
+        for key, val in data.items():
+            if key not in defaults:
+                raise ValueError(f"unknown config key {key!r} in {args.config!r}")
+            kind = type(defaults[key])
+            if not isinstance(val, str if kind is str else float):
+                expected = "a JSON string" if kind is str else "a JSON number"
+                raise ValueError(f"config key {key!r} must be {expected}, got {val!r}")
+            if kind is int and not val.is_integer():
                 raise ValueError(f"config key {key!r} must be an integer, got {val!r}")
-            setattr(cfg, key, type(default)(val))
+            setattr(cfg, key, kind(val))
     for f in fields(RunConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
             setattr(cfg, f.name, cli_val)
-    if getattr(args, "wc_over_2pikt", None) is not None:
-        cfg.kt_over_wc = 1.0 / (2.0 * math.pi * args.wc_over_2pikt)
-    if getattr(args, "squeeze_s", None) is not None:
-        cfg.sigma2 = math.exp(-2.0 * args.squeeze_s)
+    # The alias flags are checked where they are converted, so errors name them.
+    wc = getattr(args, "wc_over_2pikt", None)
+    if wc is not None:
+        kt = 1.0 / (2.0 * math.pi * wc) if 0.0 < wc < math.inf else 0.0
+        if not 0.0 < kt < math.inf:
+            raise ValueError(f"--wc-over-2pikt and its kT must be finite and > 0, got {wc!r}")
+        cfg.kt_over_wc = kt
+    s = getattr(args, "squeeze_s", None)
+    if s is not None:
+        sigma2 = math.exp(-2.0 * s) if 0.0 <= s < math.inf else 0.0
+        if not sigma2 > 0.0:
+            raise ValueError(f"--squeeze-s must be finite and >= 0 with e^(-2s) > 0, got {s!r}")
+        cfg.sigma2 = sigma2
     cfg.validate()
     return cfg
 
 
 def _out_path(cfg: RunConfig, default_stem: str, ext: str) -> Path:
-    if cfg.out:
-        return Path(cfg.out)
-    return Path(f"{default_stem}.{ext}")
+    return Path(cfg.out or f"{default_stem}.{ext}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
@@ -204,9 +205,7 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 def cmd_coeffs(cfg: RunConfig) -> None:
     p = cfg.physical_params()
-    step = cfg.tau_max / (cfg.steps - 1)
-    taus = [i * step for i in range(cfg.steps - 1)] + [cfg.tau_max]
-    grid = coefficient_grid(p, taus)
+    grid = coefficient_grid(p, np.linspace(0.0, cfg.tau_max, cfg.steps))
     names = ("tau", "delta", "gamma", "big_gamma", "delta_gamma")
     columns = [getattr(grid, name) for name in names]
     if cfg.format == "csv":
@@ -214,18 +213,7 @@ def cmd_coeffs(cfg: RunConfig) -> None:
     else:
         data = {name: col.tolist() for name, col in zip(names, columns)}
         data["version"] = __version__
-        _write_text(_out_path(cfg, "coeffs", "json"), _json_dumps(data))
-
-
-def _moments_summary(cfg: RunConfig, traj) -> dict:
-    period = oscillation_period(np.column_stack((traj.times, traj.n_mean)))
-    return {
-        "oscillation_period": period,
-        "squeezing_intervals_x": [list(iv) for iv in detect_squeezing_intervals(traj, "x")],
-        "squeezing_intervals_y": [list(iv) for iv in detect_squeezing_intervals(traj, "y")],
-        "intervals_frame": "corotating",
-        "version": __version__,
-    }
+        _write_json(_out_path(cfg, "coeffs", "json"), data)
 
 
 def cmd_moments(cfg: RunConfig) -> None:
@@ -233,62 +221,53 @@ def cmd_moments(cfg: RunConfig) -> None:
     traj = evolve_trajectory(cfg.initial_state(), p, cfg.tau_max, cfg.steps)
     vx, vy, cxy = traj.variances(frame=cfg.frame)
     mx, my = traj.means(frame=cfg.frame)
-    summary = _moments_summary(cfg, traj)
+    summary = {
+        "oscillation_period": oscillation_period(np.column_stack((traj.times, traj.n_mean))),
+        "squeezing_intervals_x": [list(iv) for iv in detect_squeezing_intervals(traj, "x")],
+        "squeezing_intervals_y": [list(iv) for iv in detect_squeezing_intervals(traj, "y")],
+        "intervals_frame": "corotating",
+        "version": __version__,
+    }
     names = ("tau", "n_mean", "var_x", "var_y", "cov_xy", "mean_x", "mean_y")
     columns = (traj.times, traj.n_mean, vx, vy, cxy, mx, my)
     if cfg.format == "csv":
         out = _out_path(cfg, "moments", "csv")
         _write_csv(out, ",".join(names), columns)
-        _write_text(out.with_suffix(".summary.json"), _json_dumps(summary))
+        _write_json(out.with_suffix(".summary.json"), summary)
     else:
         data = {name: col.tolist() for name, col in zip(names, columns)}
         data.update(frame=cfg.frame, summary=summary)
-        _write_text(_out_path(cfg, "moments", "json"), _json_dumps(data))
-
-
-def _write_grid_csv(path: Path, grid) -> None:
-    """Header ``# x_min,x_max,y_min,y_max,nx,ny``, then one row per y node."""
-    s = grid.spec
-    # Python floats: under NumPy 2 the repr of an np.float64 extent is not bare.
-    extents = [float(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)]
-    header = "# " + ",".join([*map(repr, extents), str(s.nx), str(s.ny)])
-    # Row ix of values is the x column, so row iy of the file holds W(x_*, y_iy).
-    _write_csv(path, header, grid.values)
-
-
-def _write_grid_json(path: Path, grid) -> None:
-    s = grid.spec
-    _write_text(path, _json_dumps(
-        {
-            "x_min": s.x_min,
-            "x_max": s.x_max,
-            "y_min": s.y_min,
-            "y_max": s.y_max,
-            "nx": s.nx,
-            "ny": s.ny,
-            "values": grid.values.T.tolist(),
-            "version": __version__,
-        }
-    ))
+        _write_json(_out_path(cfg, "moments", "json"), data)
 
 
 def cmd_wigner(cfg: RunConfig) -> None:
     p = cfg.physical_params()
     state0 = cfg.initial_state()
     base = _out_path(cfg, "wigner", cfg.format)
-    # `:g` keeps six digits, so distinct times can name one file; refuse them
-    # before anything is written rather than overwrite a grid.
-    paths: dict[Path, float] = {}
+    # Every state is computed and checked before the first file is written, so
+    # a run that fails on a state leaves no grid.  `:g` keeps six digits, so
+    # distinct times can name one file; refuse them rather than overwrite one.
+    jobs: dict[Path, tuple[float, GaussianState, GridSpec]] = {}
     for tau in cfg.tau_list():
         path = base.with_name(f"{base.stem}_tau{tau:g}{base.suffix}")
-        if path in paths:
-            raise ValueError(f"wigner times {paths[path]!r} and {tau!r} both map to {path.name}")
-        paths[path] = tau
-    for path, tau in paths.items():
+        if path in jobs:
+            raise ValueError(f"wigner times {jobs[path][0]!r} and {tau!r} both map to {path.name}")
         state = propagate(state0, p, tau)
-        grid = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
-        write = _write_grid_csv if cfg.format == "csv" else _write_grid_json
-        write(path, wigner_gaussian(state, grid))
+        # Rotating a strongly squeezed covariance into the lab frame loses about
+        # eps e^(4s) of det(cov); past PHYSICALITY_TOL the grid is no state's.
+        if not state.is_physical():
+            raise ArithmeticError(f"lab-frame state at tau={tau!r} is unphysical after "
+                                  f"rounding: det(cov) = {state.det_cov()!r}")
+        spec = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
+        jobs[path] = tau, state, spec
+    # One grid at a time is evaluated and written, so only one is held in memory.
+    for path, (_, state, spec) in jobs.items():
+        w = wigner_gaussian(state, spec).values
+        if cfg.format == "csv":
+            # Header `# x_min,x_max,y_min,y_max,nx,ny`; row iy holds W(x_*, y_iy).
+            _write_csv(path, "# " + ",".join(map(repr, astuple(spec))), w)
+        else:
+            _write_json(path, {**asdict(spec), "values": w.T.tolist(), "version": __version__})
 
 
 def cmd_classify(cfg: RunConfig) -> None:
@@ -307,7 +286,7 @@ def cmd_classify(cfg: RunConfig) -> None:
         "tau_max": cfg.tau_max,
         "version": __version__,
     }
-    _write_text(_out_path(cfg, "classify", "json"), _json_dumps(data))
+    _write_json(_out_path(cfg, "classify", "json"), data)
 
 
 _COMMANDS = {
@@ -384,10 +363,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         # An overflow or an invalid operation would leave a non-finite value
-        # in the data: it raises FloatingPointError, an ArithmeticError.
+        # in the data: it raises FloatingPointError.  That and IntegrationError
+        # are ArithmeticErrors.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _COMMANDS[args.command](cfg)
-    except (IntegrationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -144,7 +144,8 @@ def squeeze_from_sigma2(sigma2: float) -> float:
     """Squeeze magnitude s such that the squeezed variance is sigma2/2.
 
     sigma2 = e^(-2s) is the squeezed-variance ratio to vacuum; sigma2 < 1
-    squeezes, sigma2 = 1 is the vacuum, sigma2 > 1 anti-squeezes x.
+    squeezes and sigma2 = 1 is the vacuum.  sigma2 > 1 gives s < 0, which
+    `make_squeezed` refuses.
     """
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")

@@ -15,10 +15,10 @@ import math
 from typing import Callable
 
 
-class IntegrationError(Exception):
+class IntegrationError(ArithmeticError):
     """Raised when a quantity cannot be computed to double precision.
 
-    The command line maps it to exit code 3.
+    An ArithmeticError, so the command line maps it to exit code 3.
     """
 
 

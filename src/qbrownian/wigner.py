@@ -60,7 +60,7 @@ class GridSpec:
         cls, state: GaussianState, n_sigma: float = 6.0, nx: int = 401, ny: int = 401
     ) -> "GridSpec":
         """Grid covering ``n_sigma`` marginal standard deviations of a state."""
-        cx, cy = state.mean / _SQRT2
+        cx, cy = (state.mean / _SQRT2).tolist()
         sx = math.sqrt(state.var_x / 2.0)
         sy = math.sqrt(state.var_y / 2.0)
         return cls(

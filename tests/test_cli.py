@@ -380,3 +380,46 @@ def test_temperature_and_squeeze_aliases(capsys):
     assert main(["coeffs", "--squeeze-s", repr(s), "--dump-config"]) == 0
     dumped = json.loads(capsys.readouterr().out)
     assert dumped["sigma2"] == pytest.approx(0.1, rel=1e-14)
+
+
+def test_alias_and_sigma2_errors_name_the_flag(capsys):
+    for flag in ("--wc-over-2pikt=0", "--wc-over-2pikt=-1", "--squeeze-s=-1",
+                 "--squeeze-s=400", "--sigma2=2"):
+        assert main(["coeffs", flag, "--dump-config"]) == 2, flag
+        err = capsys.readouterr().err
+        assert flag[2:flag.index("=")] in err, err
+        assert "kt_over_wc" not in err and "squeeze magnitude" not in err, err
+
+
+def test_config_values_must_have_their_field_type(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    for key, val, expected in (("g", "0.1", "number"), ("steps", "12", "number"),
+                               ("steps", "1e3", "number"), ("g", "abc", "number"),
+                               ("state", 1, "string"), ("times", 0.1, "string")):
+        cfg_file.write_text(json.dumps({key: val}))
+        assert main(["coeffs", "--config", str(cfg_file), "--dump-config"]) == 2, key
+        assert f"config key {key!r} must be a JSON {expected}" in capsys.readouterr().err
+    # a JSON number is read as a double, so an integer past its range is inf
+    cfg_file.write_text('{"g": 1' + "0" * 400 + "}")
+    assert main(["coeffs", "--config", str(cfg_file), "--dump-config"]) == 2
+    assert "g must be finite" in capsys.readouterr().err
+
+
+def test_failing_wigner_runs_write_nothing(tmp_path, capsys):
+    # the later time fails after the earlier one has been computed; at g = 0 the
+    # lab-frame rotation of a strongly squeezed state leaves det(cov) < 1/4
+    # (s = 10) or overflows it (s = 200)
+    for args in (["--times=0.1,1e305", "--r=1e-300"],
+                 ["--g=0", "--squeeze-s=10", "--times=0,0.1"],
+                 ["--g=0", "--squeeze-s=200", "--times=0,0.1"]):
+        assert main(["wigner", *args, "--nx=5", "--ny=5", "--out", str(tmp_path / "w.csv")]) == 3
+        assert not list(tmp_path.iterdir()), args
+    err = capsys.readouterr().err
+    assert "state at tau=0.1 is unphysical after rounding: det(cov) = 0.0" in err
+
+
+def test_empty_wigner_times_exit_2(tmp_path, capsys):
+    for times in ("", " , "):
+        assert main(["wigner", f"--times={times}", "--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err.count("wigner times must be one or more times") == 2
+    assert not list(tmp_path.iterdir())
