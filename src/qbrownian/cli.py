@@ -16,13 +16,15 @@ and no timestamps enter the data.
 Exit codes: 0 success, 2 invalid arguments or configuration (including
 sizes above MAX_STEPS, MAX_GRID_POINTS or MAX_WIGNER_VALUES, rejected before
 anything is allocated, wigner times that would share a file name, and a
-sigma2 outside (0, 1]; the message names the flag or config key given),
+sigma2 outside [2.2e-308, 1], whose lower end, the smallest normal double,
+keeps e^(2s) finite; the message names the flag or config key given),
 3 numerical failure (a coupling |c| = 2 g^2 r^2/(1+r^2) above the
 Delta_Gamma series' cap, the Lindblad bracket cap, an arithmetic error such
 as overflow, or a lab-frame state that rounding has pushed below the
 uncertainty bound; a value that would not be finite counts as one), 4 I/O
-failure.  `wigner` computes and checks the state at every time before it
-writes its first file, so a run that fails on a state writes no Wigner file.
+failure.  `wigner` computes and checks the state and grid at every time
+before it writes its first file, so a run that fails on one writes no Wigner
+file.
 """
 
 from __future__ import annotations
@@ -108,8 +110,11 @@ class RunConfig:
             raise ValueError(
                 f"nx*ny times the number of wigner times must be <= {MAX_WIGNER_VALUES}"
             )
-        if not 0.0 < self.sigma2 <= 1.0:
-            raise ValueError(f"sigma2 must be in (0, 1], got {self.sigma2!r}")
+        # The smallest normal double keeps e^(2s) = 1/sigma2 finite.
+        if not sys.float_info.min <= self.sigma2 <= 1.0:
+            raise ValueError(
+                f"sigma2 must be in [{sys.float_info.min!r}, 1], got {self.sigma2!r}"
+            )
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if not (self.n_sigma > 0.0 and math.isfinite(self.n_sigma)):
@@ -172,8 +177,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     s = getattr(args, "squeeze_s", None)
     if s is not None:
         sigma2 = math.exp(-2.0 * s) if 0.0 <= s < math.inf else 0.0
-        if not sigma2 > 0.0:
-            raise ValueError(f"--squeeze-s must be finite and >= 0 with e^(-2s) > 0, got {s!r}")
+        if not sigma2 >= sys.float_info.min:
+            raise ValueError(f"--squeeze-s must be >= 0 with e^(-2s) >= {sys.float_info.min!r}, "
+                             f"got {s!r}")
         cfg.sigma2 = sigma2
     cfg.validate()
     return cfg
@@ -244,9 +250,10 @@ def cmd_wigner(cfg: RunConfig) -> None:
     p = cfg.physical_params()
     state0 = cfg.initial_state()
     base = _out_path(cfg, "wigner", cfg.format)
-    # Every state is computed and checked before the first file is written, so
-    # a run that fails on a state leaves no grid.  `:g` keeps six digits, so
-    # distinct times can name one file; refuse them rather than overwrite one.
+    # Every state and grid is computed and checked before the first file is
+    # written, so a run that fails on one leaves no file.  `:g` keeps six
+    # digits, so distinct times can name one file; refuse them rather than
+    # overwrite one.
     jobs: dict[Path, tuple[float, GaussianState, GridSpec]] = {}
     for tau in cfg.tau_list():
         path = base.with_name(f"{base.stem}_tau{tau:g}{base.suffix}")
@@ -259,6 +266,7 @@ def cmd_wigner(cfg: RunConfig) -> None:
             raise ArithmeticError(f"lab-frame state at tau={tau!r} is unphysical after "
                                   f"rounding: det(cov) = {state.det_cov()!r}")
         spec = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
+        wigner_gaussian(state, spec)  # evaluated and dropped: an overflow raises here
         jobs[path] = tau, state, spec
     # One grid at a time is evaluated and written, so only one is held in memory.
     for path, (_, state, spec) in jobs.items():

@@ -359,47 +359,35 @@ def fock_to_wigner(state: FockState, grid: GridSpec) -> WignerGrid:
     """Wigner function of a number-basis density matrix on a grid.
 
     Uses the displaced-parity expansion W(alpha) = (2/pi) Tr[rho D(2 alpha) P],
-    summed diagonal band by diagonal band.  Within the band m - n = d >= 0 the
-    scaled displacement elements T_n = <n+d|D(beta)|n> obey the symmetric
-    three-term recurrence
+    summed diagonal band by diagonal band.  Within the band m - n = d >= 0,
+    <n+d|D(beta)|n> = s_d P_n(x) with x = |beta|^2, the complex seed
+    s_d = e^(-x/2) beta^d / sqrt(d!) and real P_n from P_0 = 1 and
 
-        T_{n+1} = [(2n+d+1-x) T_n - sqrt(n(n+d)) T_{n-1}]
-                  / sqrt((n+1)(n+d+1)),        x = |beta|^2,
+        k_n P_{n+1} = (2n+d+1-x) P_n - k_{n-1} P_{n-1},   k_n = sqrt((n+1)(n+d+1)).
 
-    whose growth factors stay O(1) (column-by-column schemes blow up past
-    dim ~ 50).  Bands below the diagonal follow from
-    <n|D|m> = (-1)^(m-n) conj(<m|D|n>) and Hermiticity of rho, so the band
-    sums combine as A_0 + 2 Re A_d.  Normalization matches the grid
-    convention (vacuum peak 2/pi, unit integral over d^2alpha).
+    Clenshaw's backward recurrence (1955) sums the band: with c_n =
+    (-1)^n rho[n, n+d], b = 0 past the band end and b_n = c_n +
+    (2n+d+1-x)/k_n b_{n+1} - (k_n/k_{n+1}) b_{n+2}, the sum is s_d b_0.  The
+    b_n grow like P_n (about x^n/n! past x ~ 4n) while s_d P_n stays O(1), so
+    where e^(-x/2) underflows, and every seed is 0, the sums run at x = 0.
+    With <n|D|m> = (-1)^(m-n) conj(<m|D|n>) and rho Hermitian the bands
+    combine as A_0 + 2 Re A_d.  Normalization matches the grid convention
+    (vacuum peak 2/pi, unit integral over d^2alpha).
     """
-    rho = np.asarray(state.rho)
     dim = state.dim
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    beta = 2.0 * (xs[:, None] + 1j * ys[None, :]).ravel()
+    beta = 2.0 * (grid.x_coords()[:, None] + 1j * grid.y_coords()[None, :]).ravel()
     x = np.abs(beta) ** 2
-
+    seed = np.exp(-0.5 * x).astype(complex)  # s_0
+    x[seed == 0.0] = 0.0
+    n = np.arange(dim + 1.0)
     total = np.zeros(beta.size)
-    seed = np.exp(-0.5 * x).astype(complex)  # T_0 for band d = 0
     for d in range(dim):
         if d > 0:
             seed = seed * beta / math.sqrt(d)  # e^(-x/2) beta^d / sqrt(d!)
-        t_prev = np.zeros_like(seed)
-        t_cur = seed
-        band = np.zeros_like(seed)
-        sign = 1.0
-        for n in range(dim - d):
-            w = rho[n, n + d]
-            if w != 0.0:
-                band += (sign * w) * t_cur
-            sign = -sign
-            if n + d + 1 < dim:
-                t_next = (
-                    (2.0 * n + d + 1.0 - x) * t_cur
-                    - math.sqrt(n * (n + d)) * t_prev
-                ) / math.sqrt((n + 1.0) * (n + d + 1.0))
-                t_prev, t_cur = t_cur, t_next
-        total += band.real if d == 0 else 2.0 * band.real
-
-    vals = (2.0 / math.pi) * total.reshape(grid.nx, grid.ny)
-    return WignerGrid(grid, vals)
+        c = (-1.0) ** n[: dim - d] * state.rho.diagonal(d)
+        k = np.sqrt((n[: dim - d + 1] + 1.0) * (n[: dim - d + 1] + d + 1.0))
+        b1 = b2 = 0.0  # b_{m+1}, b_{m+2}
+        for m in range(dim - d - 1, -1, -1):
+            b1, b2 = c[m] + (2.0 * m + d + 1.0 - x) / k[m] * b1 - k[m] / k[m + 1] * b2, b1
+        total += (1.0 if d == 0 else 2.0) * (seed * b1).real
+    return WignerGrid(grid, (2.0 / math.pi) * total.reshape(grid.nx, grid.ny))

@@ -110,9 +110,9 @@ class GaussianState:
     def det_cov(self) -> float:
         return float(_det(self.cov))
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        """Uncertainty bound det(cov) >= 1/4 within ``tol``."""
-        return self.det_cov() >= 0.25 - tol
+    def is_physical(self) -> bool:
+        """Uncertainty bound det(cov) >= 1/4 within `PHYSICALITY_TOL`."""
+        return self.det_cov() >= 0.25 - PHYSICALITY_TOL
 
     def rotated(self, theta: float) -> "GaussianState":
         """State with phase space rotated by ``theta`` (counterclockwise)."""

@@ -384,7 +384,7 @@ def test_temperature_and_squeeze_aliases(capsys):
 
 def test_alias_and_sigma2_errors_name_the_flag(capsys):
     for flag in ("--wc-over-2pikt=0", "--wc-over-2pikt=-1", "--squeeze-s=-1",
-                 "--squeeze-s=400", "--sigma2=2"):
+                 "--squeeze-s=400", "--sigma2=2", "--squeeze-s=360", "--sigma2=1e-310"):
         assert main(["coeffs", flag, "--dump-config"]) == 2, flag
         err = capsys.readouterr().err
         assert flag[2:flag.index("=")] in err, err
@@ -408,10 +408,12 @@ def test_config_values_must_have_their_field_type(tmp_path, capsys):
 def test_failing_wigner_runs_write_nothing(tmp_path, capsys):
     # the later time fails after the earlier one has been computed; at g = 0 the
     # lab-frame rotation of a strongly squeezed state leaves det(cov) < 1/4
-    # (s = 10) or overflows it (s = 200)
+    # (s = 10) or overflows it (s = 200); a huge grid extent overflows the later,
+    # correlated state's quadratic form but not the first one's
     for args in (["--times=0.1,1e305", "--r=1e-300"],
                  ["--g=0", "--squeeze-s=10", "--times=0,0.1"],
-                 ["--g=0", "--squeeze-s=200", "--times=0,0.1"]):
+                 ["--g=0", "--squeeze-s=200", "--times=0,0.1"],
+                 ["--n-sigma=1e154", "--times=0,0.1"]):
         assert main(["wigner", *args, "--nx=5", "--ny=5", "--out", str(tmp_path / "w.csv")]) == 3
         assert not list(tmp_path.iterdir()), args
     err = capsys.readouterr().err

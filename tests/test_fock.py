@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -266,6 +267,22 @@ def test_wigner_single_photon_negative_at_origin():
     iy = int(np.argmin(np.abs(spec.y_coords())))
     assert wf.values[ix, iy] == pytest.approx(-2.0 / math.pi, abs=1e-9)
     assert wf.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, dim, edge", [(20, 60, 6.0), (53, 160, 6.0), (99, 120, 6.0),
+                                          (159, 160, 40.0)])
+def test_wigner_number_state_matches_laguerre_closed_form(n, dim, edge):
+    # W_n(alpha) = (2/pi) (-1)^n e^(-2|alpha|^2) L_n(4|alpha|^2) reaches the high bands;
+    # at |alpha| ~ 40 the band sums would overflow where e^(-2|alpha|^2) underflows
+    spec = GridSpec(-edge, edge, -edge, edge, 25, 25)
+    r2 = spec.x_coords()[:, None] ** 2 + spec.y_coords()[None, :] ** 2
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    closed = np.vectorize(
+        lambda z: float(2 / mp.pi * (-1) ** n * mp.exp(-2 * z) * mp.laguerre(n, 0, 4 * z))
+    )
+    wf = fock_to_wigner(make_number_state(n, dim), spec)
+    assert np.abs(wf.values - closed(r2)).max() <= 1e-13
 
 
 def test_wigner_displaced_state_matches_gaussian():
