@@ -5,7 +5,7 @@ This is the test oracle: it integrates
     drho/dtau = (Delta+gamma)/2 * [2 a rho a^dag - {a^dag a, rho}]
               + (Delta-gamma)/2 * [2 a^dag rho a - {a a^dag, rho}]
 
-with the time-dependent coefficients sampled at the Runge-Kutta substep
+with the time-dependent coefficients sampled at the integrator's substep
 times, entirely independently of the Gaussian-channel solution.  There is no
 Hamiltonian commutator: the equation lives in the frame corotating with the
 oscillator, so moments computed from rho are corotating-frame moments and the
@@ -19,9 +19,11 @@ band into one vector of dim (dim + 1) / 2 entries, and rebuilds the full
 matrix at recorded samples; `me_rhs` applies the same packed right-hand side
 and returns the full matrix.
 
-Fixed-step classical RK4 is used on purpose (reproducibility over speed);
-the guidance dt <= 1e-3 * min(1, r) keeps it comfortably inside the
-stability region for the default parameter ranges.
+Each macro step H runs Gragg's modified midpoint rule at 2, 4, 6 and 8
+substeps and extrapolates to zero substep length: the Bulirsch-Stoer scheme
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.9) without adaptivity, so
+runs reproduce.  H is at most ``dt`` and at most STIFFNESS_BOUND / (2 dim
+max|Delta|), the stability rule; see `integrate_me`.
 """
 
 from __future__ import annotations
@@ -36,11 +38,29 @@ from .coefficients import PhysicalParams, closed_forms
 from .quadrature import IntegrationError
 from .wigner import GridSpec, WignerGrid
 
-# Abort threshold on per-step trace drift (renormalized away each step).
+# Abort threshold on trace drift per macro step (renormalized away each macro step).
 TRACE_DRIFT_ABORT = 1e-6
 
 # Most negative eigenvalue tolerated at recorded samples (truncation leakage).
 NEGATIVITY_TOL = 1e-7
+
+# Largest H * 2 dim max|Delta| of a macro step H.  The packed right-hand side
+# has real eigenvalues down to about -1.9 * 2 dim max|Delta| (dim 80), and
+# the extrapolated step is stable on the negative real axis down to -5.5.
+STIFFNESS_BOUND = 1.5
+
+# Substep counts n of one macro step, their distinct times j H / n (j = 0..n)
+# in ticks of H / lcm(n), and for each n the indices of its own times among them.
+SUBSTEPS = (2, 4, 6, 8)
+_LCM = math.lcm(*SUBSTEPS)
+_TICKS = sorted({j * (_LCM // n) for n in SUBSTEPS for j in range(n + 1)})
+_NODES = np.array(_TICKS) / _LCM
+_NODE_INDEX = [[_TICKS.index(j * (_LCM // n)) for j in range(n + 1)] for n in SUBSTEPS]
+# The Aitken-Neville value at h = 0 of the polynomial in h^2 through the results
+# of each n, as fixed weights: the product over m != n of n^2 / (n^2 - m^2).
+_EXTRAPOLATION = np.array([math.prod(n * n for m in SUBSTEPS if m != n)
+                           / math.prod(n * n - m * m for m in SUBSTEPS if m != n)
+                           for n in SUBSTEPS])
 
 
 @dataclass(frozen=True)
@@ -244,6 +264,8 @@ class FockTrajectory:
     mean_x: np.ndarray
     mean_y: np.ndarray
     max_trace_drift: float
+    min_eigenvalue: np.ndarray  # of each recorded state
+    trace_drift: np.ndarray  # per record, the largest since the previous one
 
 
 def integrate_me(
@@ -253,58 +275,48 @@ def integrate_me(
     dt: float | None = None,
     n_record: int = 101,
 ) -> FockTrajectory:
-    """Integrate the master equation by fixed-step RK4.
+    """Integrate the master equation by extrapolated modified midpoint steps.
 
-    Coefficients are sampled at the substep times (t, t+dt/2, t+dt), those
-    of one recording interval in a single `closed_forms` call.  Only the
-    upper diagonal bands of rho are integrated (see `_RhsWork`), packed into
-    one vector of dim (dim + 1) / 2 entries; the stage inputs and the four
-    slopes live in buffers allocated once, and the full Hermitian matrix is
-    rebuilt only at recorded samples, so the states are exactly Hermitian.
-    The state starts from the Hermitian part of ``state0.rho``.  The trace
-    is renormalized every step; per-step drift beyond 1e-6 aborts, and
-    eigenvalue negativity beyond 1e-7 at a recorded sample aborts.  ``dt``
-    defaults to 1e-3 * min(1, r) and is rounded down so records land exactly
-    on integration steps.
+    A macro step H runs Gragg's modified midpoint rule, with its smoothing end
+    step, at n = 2, 4, 6, 8 substeps from one start slope (21 right-hand sides)
+    and extrapolates to zero substep length (Aitken-Neville in h^2).  In each
+    recording interval H = min(``dt``, STIFFNESS_BOUND / (2 dim max|Delta|)),
+    rounded down so the record lands on a macro step, with max|Delta| over the
+    coefficients at the interval's substep times (one `closed_forms` call);
+    ``dt``, the bound on H, defaults to 0.04 * min(1, r).  The packed upper
+    bands of the Hermitian part of ``state0.rho`` are integrated (see
+    `_RhsWork`).  The trace is renormalized every macro step; a drift beyond
+    1e-6 in one aborts, as does negativity beyond 1e-7 at a record.
+    ``trace_drift`` holds per record the largest drift since the previous one.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
     if n_record < 2:
         raise ValueError(f"n_record must be >= 2, got {n_record!r}")
     if dt is None:
-        dt = 1e-3 * min(1.0, p.r)
-    if dt <= 0.0:
+        dt = 0.04 * min(1.0, p.r)
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    # Integer number of steps per recording interval.
-    rec_dt = tau_max / (n_record - 1)
-    steps_per_rec = max(1, math.ceil(rec_dt / dt))
-    h = rec_dt / steps_per_rec
-
     dim = state0.dim
-    work = _RhsWork(dim)
-    v_buf = work.pack(state0.rho)
-    y_buf = np.zeros_like(v_buf)  # stage inputs
-    v, y = v_buf[1:-1], y_buf[1:-1]
-    v_nbrs, y_nbrs = _neighbours(v_buf), _neighbours(y_buf)
-    k1, k2, k3, k4 = np.empty((4, work.size), dtype=complex)
-    tmp = np.empty((3, work.size), dtype=complex)
-    # Weights at the start, middle and end of a step.
-    w_step = np.empty((3, 3, work.size))
-    w0, wm, w1 = w_step
-
     times = np.linspace(0.0, tau_max, n_record)
+    rec_dt = tau_max / (n_record - 1)
+    work = _RhsWork(dim)
+    v_buf, z_buf = work.pack(state0.rho), np.zeros(work.size + 2, dtype=complex)
+    v, z, v_nbrs, z_nbrs = v_buf[1:-1], z_buf[1:-1], _neighbours(v_buf), _neighbours(z_buf)
+    # The midpoint rule runs on increments e = z - v, whose rounding stays far
+    # below that of v; each n leaves its smoothed result in a row of ``ends``.
+    f0, *es = np.empty((3, work.size), dtype=complex)
+    ends = np.empty((len(SUBSTEPS), work.size), dtype=complex)
+    tmp = np.empty((3, work.size), dtype=complex)
+    w = np.empty((len(_NODES), 3, work.size))  # weights at the nodes of a macro step
+
     states: list[FockState] = []
-    n_mean = np.empty(n_record)
-    var_x = np.empty(n_record)
-    var_y = np.empty(n_record)
-    mean_x = np.empty(n_record)
-    mean_y = np.empty(n_record)
-    max_drift = 0.0
+    n_mean, var_x, var_y, mean_x, mean_y, min_eig, drifts = np.zeros((7, n_record))
 
     def record(k: int) -> None:
         state = FockState(work.unpack(v))
-        low = state.min_eigenvalue()
+        low = min_eig[k] = state.min_eigenvalue()
         if low < -NEGATIVITY_TOL:
             raise IntegrationError(
                 f"density matrix negativity {low:.3e} at tau={float(times[k])!r} "
@@ -316,43 +328,46 @@ def integrate_me(
 
     record(0)
     for k in range(1, n_record):
-        t0s = times[k - 1] + np.arange(steps_per_rec) * h
-        substeps = np.stack([t0s, t0s + 0.5 * h, t0s + h])
-        deltas, gammas, _ = closed_forms(p, substeps)
-        for t1, d, g in zip(substeps[2].tolist(), deltas.T[:, :, None], gammas.T[:, :, None]):
-            work.weights(d, g, w_step)
-            work.apply(w0, v_nbrs, k1, tmp)
-            np.multiply(k1, 0.5 * h, out=y)
-            y += v
-            work.apply(wm, y_nbrs, k2, tmp)
-            np.multiply(k2, 0.5 * h, out=y)
-            y += v
-            work.apply(wm, y_nbrs, k3, tmp)
-            np.multiply(k3, h, out=y)
-            y += v
-            work.apply(w1, y_nbrs, k4, tmp)
-            # v += h/6 (k1 + 2 (k2 + k3) + k4)
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= h / 6.0
-            v += k2
-            # Band 0 holds the diagonal.
-            tr = v[:dim].sum().real
+        # Macro steps in this recording interval: as many as dt asks for, and
+        # more until H meets the stiffness rule on the coefficients at its nodes.
+        steps, need = 0, max(1, math.ceil(rec_dt / dt))
+        while need > steps:
+            steps = need
+            h = rec_dt / steps
+            t0s = times[k - 1] + np.arange(steps) * h
+            deltas, gammas, _ = closed_forms(p, t0s[:, None] + _NODES * h)
+            need = math.ceil(rec_dt * 2.0 * dim * np.abs(deltas).max() / STIFFNESS_BOUND)
+        for t0, d, g in zip(t0s.tolist(), deltas[:, :, None], gammas[:, :, None]):
+            work.weights(d, g, w)
+            work.apply(w[0], v_nbrs, f0, tmp)
+            for end, n, nodes in zip(ends, SUBSTEPS, _NODE_INDEX):
+                hn = h / n
+                e_old, e = es  # e_{m-1} and e_m, from m = 1
+                e_old[:], e[:] = 0.0, hn * f0
+                for i in nodes[1:-1]:
+                    # e_{m+1} = e_{m-1} + 2 hn f(v + e_m), written over e_{m-1}.
+                    np.add(v, e, out=z)
+                    work.apply(w[i], z_nbrs, end, tmp)
+                    e_old += 2.0 * hn * end
+                    e_old, e = e, e_old
+                # The smoothing step (e_{n-1} + e_n + hn f(v + e_n)) / 2 ends the run.
+                np.add(v, e, out=z)
+                work.apply(w[nodes[-1]], z_nbrs, end, tmp)
+                end[:] = 0.5 * (e_old + e + hn * end)
+            v += _EXTRAPOLATION @ ends
+            tr = v[:dim].sum().real  # band 0 holds the diagonal
             drift = abs(tr - 1.0)
             if drift > TRACE_DRIFT_ABORT:
                 raise IntegrationError(
-                    f"trace drift {drift:.3e} at tau={float(t1)!r} exceeds "
-                    f"{TRACE_DRIFT_ABORT:.1e} (dt={h!r} too large or truncation too small)"
+                    f"trace drift {drift:.3e} at tau={t0 + h!r} exceeds {TRACE_DRIFT_ABORT:.1e} "
+                    f"per macro step (macro step H={h!r} too large or truncation too small)"
                 )
-            max_drift = max(max_drift, drift)
+            drifts[k] = max(drifts[k], drift)
             v /= tr
         record(k)
 
-    return FockTrajectory(
-        times, states, n_mean, var_x, var_y, mean_x, mean_y, max_drift
-    )
+    return FockTrajectory(times, states, n_mean, var_x, var_y, mean_x, mean_y,
+                          float(drifts.max()), min_eig, drifts)
 
 
 def fock_to_wigner(state: FockState, grid: GridSpec) -> WignerGrid:

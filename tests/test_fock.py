@@ -6,6 +6,7 @@ import pytest
 
 from qbrownian.coefficients import PhysicalParams, delta_coeff, gamma_coeff
 from qbrownian.fock import (
+    STIFFNESS_BOUND,
     FockState,
     annihilation,
     fock_to_wigner,
@@ -192,34 +193,77 @@ def test_moments_match_dense_operator_averages():
         assert ft.mean_y[k] == pytest.approx(my, abs=1e-12)
 
 
-def test_integrator_matches_full_matrix_rk4_on_me_rhs():
-    # integrate_me evolves only the packed upper bands of rho; a plain
-    # full-matrix classical RK4 on the public me_rhs, with the same substep
-    # times, coefficients and per-step trace renormalization, must agree.
-    dim, tau_max, n_record = 12, 0.01, 5
+@pytest.mark.parametrize("tau_max, n_record, dt", [(0.02, 5, None), (0.04, 3, 0.01)])
+def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, dt):
+    # integrate_me evolves only the packed upper bands of rho, on increments
+    # from the start of each macro step; a plain full-matrix modified midpoint
+    # rule on the public me_rhs, at the same substep times, extrapolated by the
+    # Aitken-Neville tableau and renormalized once per macro step, must agree.
+    # At the default step both sit at rounding; at dt = 0.01 the scheme's own
+    # error (about 4e-13) exceeds the bound, so only the same scheme agrees.
+    dim = 12
     st0 = make_coherent_fock(0.8 + 0.3j, dim)
-    ft = integrate_me(st0, FIG1, tau_max, n_record=n_record)
+    ft = integrate_me(st0, FIG1, tau_max, dt=dt, n_record=n_record)
     rec_dt = tau_max / (n_record - 1)
-    steps = math.ceil(rec_dt / (1e-3 * FIG1.r))
+    steps = math.ceil(rec_dt / (dt or 0.04 * FIG1.r))
     h = rec_dt / steps
-    assert steps * (n_record - 1) >= 20
+    # dt, not the stiffness rule, sets the macro step here
+    max_delta = max(abs(delta_coeff(FIG1, t)) for t in np.linspace(0.0, tau_max, 201))
+    assert h * 2 * dim * max_delta < STIFFNESS_BOUND
+    assert steps >= 2
+
+    def f(t, rho):
+        # me_rhs is linear in rho and takes unit-trace states; leakage moves the trace
+        tr = rho.trace().real
+        return tr * me_rhs(FockState(rho / tr), delta_coeff(FIG1, t), gamma_coeff(FIG1, t))
+
+    ns = (2, 4, 6, 8)
     times = np.linspace(0.0, tau_max, n_record)
     rho = np.array(st0.rho)
     for k in range(n_record):
         for t0 in times[k - 1] + np.arange(steps if k else 0) * h:
-            ts = (t0, t0 + 0.5 * h, t0 + h)
-            (d0, dm, d1), (g0, gm, g1) = (
-                [f(FIG1, t) for t in ts] for f in (delta_coeff, gamma_coeff)
-            )
-            k1 = me_rhs(FockState(rho), d0, g0)
-            k2 = me_rhs(FockState(rho + 0.5 * h * k1), dm, gm)
-            k3 = me_rhs(FockState(rho + 0.5 * h * k2), dm, gm)
-            k4 = me_rhs(FockState(rho + h * k3), d1, g1)
-            rho = rho + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            rho /= rho.trace().real
+            f0 = f(t0, rho)
+            table = []
+            for n in ns:
+                hn = h / n
+                z_old, z = rho, rho + hn * f0
+                for m in range(1, n):
+                    z_old, z = z, z_old + 2.0 * hn * f(t0 + m * hn, z)
+                table.append(0.5 * (z_old + z + hn * f(t0 + h, z)))
+            for j in range(1, len(ns)):
+                for i in range(len(ns) - 1, j - 1, -1):
+                    ratio = (ns[i] / ns[i - j]) ** 2
+                    table[i] = table[i] + (table[i] - table[i - 1]) / (ratio - 1.0)
+            rho = table[-1] / table[-1].trace().real
         got = ft.states[k].rho
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - rho).max() <= 1e-13
+
+
+def test_stiffness_rule_splits_a_single_record_interval():
+    # At dim 80 the stiffness rule, not dt, sets the macro step, so it alone
+    # splits the one record interval; any larger dt then changes nothing.
+    # At this squeezing the weight near n = 80 is negligible, so the moments
+    # follow the exact law to rounding.
+    s = squeeze_from_sigma2(0.5)
+    st0 = make_squeezed_fock(s, 80)
+    ft = integrate_me(st0, FIG1, tau_max=0.15, n_record=2)
+    tr = evolve_trajectory(make_squeezed(0j, s), FIG1, 0.15, 2)
+    vx, vy, _ = tr.variances(frame="corotating")
+    assert np.abs(ft.n_mean - tr.n_mean).max() < 1e-8
+    assert np.abs(ft.var_x - vx).max() < 1e-8
+    assert np.abs(ft.var_y - vy).max() < 1e-8
+    coarse = integrate_me(st0, FIG1, tau_max=0.15, dt=1.0, n_record=2)
+    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(ft.states, coarse.states))
+
+
+def test_health_is_kept_per_record():
+    ft = integrate_me(make_coherent_fock(1.0 + 0.7j, 40), FIG1, tau_max=0.1, n_record=6)
+    assert ft.min_eigenvalue.shape == ft.trace_drift.shape == (6,)
+    for k, state in enumerate(ft.states):
+        assert ft.min_eigenvalue[k] == state.min_eigenvalue()
+    assert ft.trace_drift[0] == 0.0
+    assert ft.max_trace_drift == ft.trace_drift.max()
 
 
 def test_negative_coefficient_window_aborts_at_default_truncations():
