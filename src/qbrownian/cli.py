@@ -119,8 +119,8 @@ class RunConfig:
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if not (self.n_sigma > 0.0 and math.isfinite(self.n_sigma)):
             raise ValueError(f"n-sigma must be finite and > 0, got {self.n_sigma!r}")
-        if not taus or min(taus) < 0.0:
-            raise ValueError(f"wigner times must be one or more times >= 0, got {self.times!r}")
+        if not taus or not all(0.0 <= t < math.inf for t in taus):
+            raise ValueError(f"wigner times must be finite, >= 0 and not empty, got {self.times!r}")
         # Parameter validity (g, r, kt_over_wc) is checked by PhysicalParams.
         self.physical_params()
 

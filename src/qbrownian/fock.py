@@ -22,8 +22,10 @@ and returns the full matrix.
 Each macro step H runs Gragg's modified midpoint rule at 2, 4, 6 and 8
 substeps and extrapolates to zero substep length: the Bulirsch-Stoer scheme
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.9) without adaptivity, so
-runs reproduce.  H is at most ``dt`` and at most STIFFNESS_BOUND / (2 dim
-max|Delta|), the stability rule; see `integrate_me`.
+runs reproduce.  H is at most the fixed cap 0.04 min(1, r) and at most
+STIFFNESS_BOUND / (2 dim max|Delta|), the stability rule; see `integrate_me`.
+`FockTrajectory.rho` stacks the records, read-only, as (n_record, dim, dim);
+`states` builds `FockState`s from it and `max_trace_drift` reads `trace_drift`.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def make_vacuum(dim: int) -> FockState:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return FockState(rho)
+    return make_number_state(0, dim)
 
 
 def make_number_state(n: int, dim: int) -> FockState:
@@ -233,23 +233,19 @@ def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:
     return work.unpack(out)
 
 
-def _moments(rho: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(n_mean, var_x, var_y, mean_x, mean_y) from a density matrix.
+def _moments(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(n_mean, var_x, var_y, mean_x, mean_y) arrays from a stack of density matrices.
 
     Corotating frame: x = (a + a^dag)/sqrt(2), y = -i(a - a^dag)/sqrt(2).
     """
-    dim = rho.shape[0]
-    n = np.arange(dim, dtype=float)
-    n_mean = float((rho.diagonal().real * n).sum())
-    root1 = np.sqrt(n[1:])  # sqrt(n) for n = 1..dim-1
-    a_mean = complex((root1 * rho.diagonal(-1)).sum())
-    root2 = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) if dim > 2 else np.array([])
-    a2_mean = complex((root2 * rho.diagonal(-2)).sum()) if dim > 2 else 0.0
-    mean_x = math.sqrt(2.0) * a_mean.real
-    mean_y = math.sqrt(2.0) * a_mean.imag
-    x2 = a2_mean.real + n_mean + 0.5
-    y2 = -a2_mean.real + n_mean + 0.5
-    return n_mean, x2 - mean_x**2, y2 - mean_y**2, mean_x, mean_y
+    n = np.arange(rho.shape[-1], dtype=float)
+    n_mean = (rho.diagonal(0, -2, -1).real * n).sum(-1)
+    a_mean = (np.sqrt(n[1:]) * rho.diagonal(-1, -2, -1)).sum(-1)
+    a2_mean = (np.sqrt(n[1:-1] * n[2:]) * rho.diagonal(-2, -2, -1)).sum(-1).real
+    mean = math.sqrt(2.0) * a_mean  # mean_x + i mean_y
+    var_x = a2_mean + n_mean + 0.5 - mean.real**2
+    var_y = -a2_mean + n_mean + 0.5 - mean.imag**2
+    return n_mean, var_x, var_y, mean.real, mean.imag
 
 
 @dataclass(frozen=True)
@@ -257,22 +253,29 @@ class FockTrajectory:
     """Recorded samples of a master-equation integration (corotating frame)."""
 
     times: np.ndarray
-    states: list[FockState]
+    rho: np.ndarray  # (n_record, dim, dim), read-only
     n_mean: np.ndarray
     var_x: np.ndarray
     var_y: np.ndarray
     mean_x: np.ndarray
     mean_y: np.ndarray
-    max_trace_drift: float
-    min_eigenvalue: np.ndarray  # of each recorded state
+    min_eigenvalue: np.ndarray  # of each recorded density matrix
     trace_drift: np.ndarray  # per record, the largest since the previous one
+
+    @property
+    def states(self) -> list[FockState]:
+        """The recorded density matrices as validated states, built on each access."""
+        return [FockState(rho) for rho in self.rho]
+
+    @property
+    def max_trace_drift(self) -> float:
+        return float(self.trace_drift.max())
 
 
 def integrate_me(
     state0: FockState,
     p: PhysicalParams,
     tau_max: float,
-    dt: float | None = None,
     n_record: int = 101,
 ) -> FockTrajectory:
     """Integrate the master equation by extrapolated modified midpoint steps.
@@ -280,23 +283,19 @@ def integrate_me(
     A macro step H runs Gragg's modified midpoint rule, with its smoothing end
     step, at n = 2, 4, 6, 8 substeps from one start slope (21 right-hand sides)
     and extrapolates to zero substep length (Aitken-Neville in h^2).  In each
-    recording interval H = min(``dt``, STIFFNESS_BOUND / (2 dim max|Delta|)),
-    rounded down so the record lands on a macro step, with max|Delta| over the
-    coefficients at the interval's substep times (one `closed_forms` call);
-    ``dt``, the bound on H, defaults to 0.04 * min(1, r).  The packed upper
-    bands of the Hermitian part of ``state0.rho`` are integrated (see
-    `_RhsWork`).  The trace is renormalized every macro step; a drift beyond
-    1e-6 in one aborts, as does negativity beyond 1e-7 at a record.
-    ``trace_drift`` holds per record the largest drift since the previous one.
+    recording interval H = min(0.04 * min(1, r), STIFFNESS_BOUND / (2 dim
+    max|Delta|)), rounded down so the record lands on a macro step, with
+    max|Delta| over the coefficients at the interval's substep times (one
+    `closed_forms` call).  The packed upper bands of the Hermitian part of
+    ``state0.rho`` are integrated (see `_RhsWork`).  The trace is renormalized
+    every macro step; a drift beyond 1e-6 in one aborts, as does negativity
+    beyond 1e-7 at a record.  ``trace_drift`` holds per record the largest
+    drift since the previous one.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
     if n_record < 2:
         raise ValueError(f"n_record must be >= 2, got {n_record!r}")
-    if dt is None:
-        dt = 0.04 * min(1.0, p.r)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
 
     dim = state0.dim
     times = np.linspace(0.0, tau_max, n_record)
@@ -311,26 +310,23 @@ def integrate_me(
     tmp = np.empty((3, work.size), dtype=complex)
     w = np.empty((len(_NODES), 3, work.size))  # weights at the nodes of a macro step
 
-    states: list[FockState] = []
-    n_mean, var_x, var_y, mean_x, mean_y, min_eig, drifts = np.zeros((7, n_record))
+    rho = np.empty((n_record, dim, dim), dtype=complex)
+    min_eig, drifts = np.zeros((2, n_record))
 
     def record(k: int) -> None:
-        state = FockState(work.unpack(v))
-        low = min_eig[k] = state.min_eigenvalue()
+        rho[k] = work.unpack(v)
+        low = min_eig[k] = np.linalg.eigvalsh(rho[k])[0]
         if low < -NEGATIVITY_TOL:
             raise IntegrationError(
-                f"density matrix negativity {low:.3e} at tau={float(times[k])!r} "
-                f"exceeds tolerance {NEGATIVITY_TOL:.1e}; increase the truncation "
-                f"dimension"
+                f"density matrix negativity {low:.3e} at tau={float(times[k])!r} exceeds "
+                f"tolerance {NEGATIVITY_TOL:.1e}; increase the truncation dimension"
             )
-        states.append(state)
-        n_mean[k], var_x[k], var_y[k], mean_x[k], mean_y[k] = _moments(state.rho)
 
     record(0)
     for k in range(1, n_record):
-        # Macro steps in this recording interval: as many as dt asks for, and
-        # more until H meets the stiffness rule on the coefficients at its nodes.
-        steps, need = 0, max(1, math.ceil(rec_dt / dt))
+        # Macro steps in this recording interval: as many as the cap asks for,
+        # and more until H meets the stiffness rule on the coefficients at its nodes.
+        steps, need = 0, max(1, math.ceil(rec_dt / (0.04 * min(1.0, p.r))))
         while need > steps:
             steps = need
             h = rec_dt / steps
@@ -366,8 +362,8 @@ def integrate_me(
             v /= tr
         record(k)
 
-    return FockTrajectory(times, states, n_mean, var_x, var_y, mean_x, mean_y,
-                          float(drifts.max()), min_eig, drifts)
+    rho.flags.writeable = False
+    return FockTrajectory(times, rho, *_moments(rho), min_eig, drifts)
 
 
 def fock_to_wigner(state: FockState, grid: GridSpec) -> WignerGrid:

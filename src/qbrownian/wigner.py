@@ -59,7 +59,11 @@ class GridSpec:
     def cover_state(
         cls, state: GaussianState, n_sigma: float = 6.0, nx: int = 401, ny: int = 401
     ) -> "GridSpec":
-        """Grid covering ``n_sigma`` marginal standard deviations of a state."""
+        """Grid covering ``n_sigma`` marginal standard deviations of a state.
+
+        Known limit: the box is axis-aligned, so it undersamples a strongly
+        squeezed ellipse rotated off the axes, and the grid's mass is wrong.
+        """
         cx, cy = (state.mean / _SQRT2).tolist()
         sx = math.sqrt(state.var_x / 2.0)
         sy = math.sqrt(state.var_y / 2.0)

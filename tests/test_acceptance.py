@@ -95,7 +95,7 @@ def test_criterion_2_squeezed_variance_checkpoints():
 
 
 def test_criterion_3_non_lindblad_classification():
-    cls = classify_lindblad(PARAMS, tau_max=1.0, n_samples=1000)
+    cls = classify_lindblad(PARAMS, tau_max=1.0)
     inside = [
         iv
         for ivs in cls.negative_intervals.values()

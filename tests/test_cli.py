@@ -420,8 +420,10 @@ def test_failing_wigner_runs_write_nothing(tmp_path, capsys):
     assert "state at tau=0.1 is unphysical after rounding: det(cov) = 0.0" in err
 
 
-def test_empty_wigner_times_exit_2(tmp_path, capsys):
-    for times in ("", " , "):
+def test_empty_or_non_finite_wigner_times_exit_2(tmp_path, capsys):
+    inputs = ("", " , ", "nan", "inf", "0.1,nan")
+    for times in inputs:
         assert main(["wigner", f"--times={times}", "--out", str(tmp_path / "w.csv")]) == 2
-    assert capsys.readouterr().err.count("wigner times must be one or more times") == 2
+    err = capsys.readouterr().err
+    assert err.count("wigner times must be finite, >= 0 and not empty") == len(inputs)
     assert not list(tmp_path.iterdir())

@@ -66,7 +66,7 @@ def test_uncoupled_limit_is_identically_zero():
         assert delta_coeff(p0, tau) == 0.0
         assert gamma_coeff(p0, tau) == 0.0
         assert big_gamma(p0, tau) == 0.0
-    assert classify_lindblad(p0, tau_max=1.0, n_samples=101).is_lindblad_type
+    assert classify_lindblad(p0, tau_max=1.0).is_lindblad_type
 
 
 def test_frozen_values():
@@ -293,7 +293,7 @@ def test_strong_coupling_above_series_cap_names_c():
 
 
 def test_classification_fig1_is_not_lindblad_type():
-    cls = classify_lindblad(FIG1, tau_max=1.0, n_samples=1000)
+    cls = classify_lindblad(FIG1, tau_max=1.0)
     assert not cls.is_lindblad_type
     assert set(cls.negative_intervals) == {"delta_plus_gamma", "delta_minus_gamma"}
     for name in ("delta_plus_gamma", "delta_minus_gamma"):
@@ -305,7 +305,7 @@ def test_classification_fig1_is_not_lindblad_type():
 def test_classification_boundaries_match_independent_root_find():
     from scipy.optimize import brentq
 
-    cls = classify_lindblad(FIG1, tau_max=1.0, n_samples=2001)
+    cls = classify_lindblad(FIG1, tau_max=1.0)
     lo, hi = cls.negative_intervals["delta_plus_gamma"][0]
     f = lambda t: delta_coeff(FIG1, t) + gamma_coeff(FIG1, t)
     assert lo == pytest.approx(brentq(f, 0.1, 0.2, xtol=1e-13), abs=1e-8)
@@ -315,14 +315,14 @@ def test_classification_boundaries_match_independent_root_find():
 def test_classification_interval_clipped_at_tau_max():
     # 0.25 sits inside the first negative excursion, so the interval must
     # close at the boundary rather than at a sign change
-    cls = classify_lindblad(FIG1, tau_max=0.25, n_samples=501)
+    cls = classify_lindblad(FIG1, tau_max=0.25)
     for name in ("delta_plus_gamma", "delta_minus_gamma"):
         assert cls.negative_intervals[name][-1][1] == 0.25
 
 
 def test_classification_high_r_is_lindblad_type():
     p = PhysicalParams(g=0.01, r=10.0, kt_over_wc=5305.16)
-    cls = classify_lindblad(p, tau_max=10.0, n_samples=10000)
+    cls = classify_lindblad(p, tau_max=10.0)
     # oracle: direct sign scan at 10x the resolution, on the array kernel that
     # delta_coeff/gamma_coeff equal bit for bit
     # (test_scalar_functions_equal_array_kernel_bit_for_bit)
@@ -335,7 +335,7 @@ def test_classification_high_r_is_lindblad_type():
 
 def test_classification_preconditions():
     with pytest.raises(ValueError):
-        classify_lindblad(FIG1, tau_max=0.0, n_samples=100)
+        classify_lindblad(FIG1, tau_max=0.0)
 
 
 def test_classification_horizon_and_long_windows():

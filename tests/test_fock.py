@@ -134,7 +134,7 @@ def test_uncoupled_state_is_constant():
     p0 = PhysicalParams(g=0.0, r=0.05, kt_over_wc=FIG1.kt_over_wc)
     st0 = make_coherent_fock(1.2, 20)
     traj = integrate_me(st0, p0, tau_max=0.5, n_record=6)
-    assert np.abs(traj.states[-1].rho - st0.rho).max() < 1e-14
+    assert np.abs(traj.rho[-1] - st0.rho).max() < 1e-14
     assert np.ptp(traj.n_mean) < 1e-14
 
 
@@ -176,46 +176,55 @@ def test_squeezed_matches_gaussian_before_recoherence_window():
     assert np.abs(ft.var_y - vy).max() < 1e-3
 
 
-def test_moments_match_dense_operator_averages():
-    ft = integrate_me(make_coherent_fock(1.0 + 0.7j, 40), FIG1, tau_max=0.1, n_record=6)
-    a = annihilation(40)
+@pytest.mark.parametrize("dim, g", [(40, FIG1.g), (2, 0.0), (1, 0.0)])
+def test_moments_match_dense_operator_averages(dim, g):
+    # The moments use a a^dag = a^dag a + 1, which the truncated a breaks on
+    # the top level; the dense operators act on rho embedded in two more levels.
+    p = PhysicalParams(g=g, r=FIG1.r, kt_over_wc=FIG1.kt_over_wc)
+    ft = integrate_me(make_coherent_fock(1.0 + 0.7j, dim), p, tau_max=0.1, n_record=6)
+    a = annihilation(dim + 2)
     x = (a + a.conj().T) / math.sqrt(2.0)
     y = -1j * (a - a.conj().T) / math.sqrt(2.0)
     num = a.conj().T @ a
     for k in (0, 3, 5):
-        rho = np.asarray(ft.states[k].rho)
+        rho = np.zeros((dim + 2, dim + 2), dtype=complex)
+        rho[:dim, :dim] = ft.rho[k]
         mx = np.trace(x @ rho).real
         vx = np.trace(x @ x @ rho).real - mx * mx
         assert ft.mean_x[k] == pytest.approx(mx, abs=1e-12)
         assert ft.var_x[k] == pytest.approx(vx, abs=1e-12)
         assert ft.n_mean[k] == pytest.approx(np.trace(num @ rho).real, abs=1e-12)
         my = np.trace(y @ rho).real
+        vy = np.trace(y @ y @ rho).real - my * my
         assert ft.mean_y[k] == pytest.approx(my, abs=1e-12)
+        assert ft.var_y[k] == pytest.approx(vy, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau_max, n_record, dt", [(0.02, 5, None), (0.04, 3, 0.01)])
-def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, dt):
+@pytest.mark.parametrize("tau_max, n_record, r", [(0.02, 5, FIG1.r), (0.04, 3, 0.25)])
+def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, r):
     # integrate_me evolves only the packed upper bands of rho, on increments
     # from the start of each macro step; a plain full-matrix modified midpoint
     # rule on the public me_rhs, at the same substep times, extrapolated by the
     # Aitken-Neville tableau and renormalized once per macro step, must agree.
-    # At the default step both sit at rounding; at dt = 0.01 the scheme's own
-    # error (about 4e-13) exceeds the bound, so only the same scheme agrees.
+    # At FIG1 both sit at rounding; at r = 0.25 the cap 0.04 r = 0.01 lets the
+    # scheme's own error (about 7e-13) exceed the bound, so only the same
+    # scheme agrees.
+    p = PhysicalParams(g=FIG1.g, r=r, kt_over_wc=FIG1.kt_over_wc)
     dim = 12
     st0 = make_coherent_fock(0.8 + 0.3j, dim)
-    ft = integrate_me(st0, FIG1, tau_max, dt=dt, n_record=n_record)
+    ft = integrate_me(st0, p, tau_max, n_record=n_record)
     rec_dt = tau_max / (n_record - 1)
-    steps = math.ceil(rec_dt / (dt or 0.04 * FIG1.r))
+    steps = math.ceil(rec_dt / (0.04 * min(1.0, r)))
     h = rec_dt / steps
-    # dt, not the stiffness rule, sets the macro step here
-    max_delta = max(abs(delta_coeff(FIG1, t)) for t in np.linspace(0.0, tau_max, 201))
+    # the cap, not the stiffness rule, sets the macro step here
+    max_delta = max(abs(delta_coeff(p, t)) for t in np.linspace(0.0, tau_max, 201))
     assert h * 2 * dim * max_delta < STIFFNESS_BOUND
     assert steps >= 2
 
     def f(t, rho):
         # me_rhs is linear in rho and takes unit-trace states; leakage moves the trace
         tr = rho.trace().real
-        return tr * me_rhs(FockState(rho / tr), delta_coeff(FIG1, t), gamma_coeff(FIG1, t))
+        return tr * me_rhs(FockState(rho / tr), delta_coeff(p, t), gamma_coeff(p, t))
 
     ns = (2, 4, 6, 8)
     times = np.linspace(0.0, tau_max, n_record)
@@ -235,32 +244,37 @@ def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max,
                     ratio = (ns[i] / ns[i - j]) ** 2
                     table[i] = table[i] + (table[i] - table[i - 1]) / (ratio - 1.0)
             rho = table[-1] / table[-1].trace().real
-        got = ft.states[k].rho
+        got = ft.rho[k]
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - rho).max() <= 1e-13
 
 
 def test_stiffness_rule_splits_a_single_record_interval():
-    # At dim 80 the stiffness rule, not dt, sets the macro step, so it alone
-    # splits the one record interval; any larger dt then changes nothing.
-    # At this squeezing the weight near n = 80 is negligible, so the moments
+    # The stiffness rule, not the cap 0.04 min(1, r), sets the macro steps that
+    # split the one record interval: at FIG1 and dim 80 just (1.5 / (160 * 5.157)
+    # < 0.002), and at r = 0.25 and dim 60 by far (the cap 0.01 alone would give
+    # H 2 dim max|Delta| = 17, past the stable range, and the run would abort).
+    # At this squeezing the weight near n = dim is negligible, so the moments
     # follow the exact law to rounding.
     s = squeeze_from_sigma2(0.5)
-    st0 = make_squeezed_fock(s, 80)
-    ft = integrate_me(st0, FIG1, tau_max=0.15, n_record=2)
-    tr = evolve_trajectory(make_squeezed(0j, s), FIG1, 0.15, 2)
-    vx, vy, _ = tr.variances(frame="corotating")
-    assert np.abs(ft.n_mean - tr.n_mean).max() < 1e-8
-    assert np.abs(ft.var_x - vx).max() < 1e-8
-    assert np.abs(ft.var_y - vy).max() < 1e-8
-    coarse = integrate_me(st0, FIG1, tau_max=0.15, dt=1.0, n_record=2)
-    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(ft.states, coarse.states))
+    for r, dim in ((FIG1.r, 80), (0.25, 60)):
+        p = PhysicalParams(g=FIG1.g, r=r, kt_over_wc=FIG1.kt_over_wc)
+        ft = integrate_me(make_squeezed_fock(s, dim), p, tau_max=0.15, n_record=2)
+        tr = evolve_trajectory(make_squeezed(0j, s), p, 0.15, 2)
+        vx, vy, _ = tr.variances(frame="corotating")
+        assert np.abs(ft.n_mean - tr.n_mean).max() < 1e-8
+        assert np.abs(ft.var_x - vx).max() < 1e-8
+        assert np.abs(ft.var_y - vy).max() < 1e-8
 
 
 def test_health_is_kept_per_record():
     ft = integrate_me(make_coherent_fock(1.0 + 0.7j, 40), FIG1, tau_max=0.1, n_record=6)
     assert ft.min_eigenvalue.shape == ft.trace_drift.shape == (6,)
+    assert ft.rho.shape == (6, 40, 40)
+    with pytest.raises(ValueError):
+        ft.rho[0, 0, 0] = 0.0
     for k, state in enumerate(ft.states):
+        assert np.array_equal(state.rho, ft.rho[k])
         assert ft.min_eigenvalue[k] == state.min_eigenvalue()
     assert ft.trace_drift[0] == 0.0
     assert ft.max_trace_drift == ft.trace_drift.max()
@@ -279,16 +293,14 @@ def test_negative_coefficient_window_aborts_at_default_truncations():
 
 
 def test_trace_drift_abort_mentions_step_size():
-    with pytest.raises(IntegrationError, match="trace drift"):
-        integrate_me(make_coherent_fock(math.sqrt(3.0), 30), FIG1, tau_max=1.0, dt=0.02, n_record=2)
+    with pytest.raises(IntegrationError, match="trace drift .*macro step H="):
+        integrate_me(make_coherent_fock(math.sqrt(3.0), 30), FIG1, tau_max=1.0, n_record=2)
 
 
 def test_integrate_preconditions():
     st = make_vacuum(5)
     with pytest.raises(ValueError):
         integrate_me(st, FIG1, tau_max=0.0)
-    with pytest.raises(ValueError):
-        integrate_me(st, FIG1, tau_max=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         integrate_me(st, FIG1, tau_max=1.0, n_record=1)
 
