@@ -11,7 +11,10 @@ Configuration precedence: command-line flags override config-file values,
 which override built-in defaults (squeezed state, sigma^2 = 0.1, g = 0.1,
 r = 0.05, high-temperature reservoir).  Identical configurations produce
 byte-identical output files: floats are written in shortest round-trip form
-and no timestamps enter the data.
+(``repr``) and no timestamps enter the data.  One text writer serves CSV and
+JSON: it formats each distinct double of a chunk of values once and streams
+the rows to the file, and JSON files keep the layout of
+``json.dumps(data, indent=2, sort_keys=True)``.
 
 Exit codes: 0 success, 2 invalid arguments or configuration (including
 sizes above MAX_STEPS, MAX_GRID_POINTS or MAX_WIGNER_VALUES, rejected before
@@ -60,8 +63,9 @@ DEFAULT_KT_OVER_WC = 1.0 / (2.0 * math.pi * 3.0e-5)
 MAX_STEPS = 1 << 20
 MAX_GRID_POINTS = 1 << 22
 MAX_WIGNER_VALUES = 1 << 24
-# CSV rows formatted per write, so no file's whole text is held in memory.
-_CSV_CHUNK = 1 << 14
+# Values formatted per write, in CSV and JSON, so no file's whole text is held
+# in memory.
+_TEXT_CHUNK = 1 << 15
 
 
 @dataclass
@@ -189,23 +193,88 @@ def _out_path(cfg: RunConfig, default_stem: str, ext: str) -> Path:
     return Path(cfg.out or f"{default_stem}.{ext}")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_block(fh, block: np.ndarray, sep: str, row_sep: str, fmt) -> None:
+    """Write the rows of a 2-D float array, formatting each distinct double once.
+
+    Doubles are told apart by their bits, so -0.0 is not 0.0.  Values in a
+    row are joined by ``sep`` and rows by ``row_sep``; rows are streamed.  The
+    texts are locals, freed on return, so two chunks' texts never coexist.
+    """
+    uniq, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, uniq.view(np.float64).tolist())), dtype=object)
+    # ravel: the inverse's shape differs across NumPy 2.0.x.
+    flat, width = texts[inverse.ravel()].tolist(), block.shape[1]
+    fh.write(sep.join(flat[:width]))
+    for k in range(width, len(flat), width):
+        fh.write(row_sep + sep.join(flat[k:k + width]))
+
+
+def _write_values(fh, columns, sep: str, row_sep: str, fmt=repr) -> None:
+    """Write row i of ``columns`` as their i-th values.
+
+    ``columns`` is a 2-D array whose rows are the columns, or a sequence of
+    equal-length 1-D arrays.  Values in a row are joined by ``sep`` and rows
+    by ``row_sep``.  At most _TEXT_CHUNK values are formatted at a time, so
+    no file's whole text is held in memory; a row longer than that is written
+    in pieces.
+    """
+    n_rows, n_cols = len(columns[0]), len(columns)
+    step = max(1, _TEXT_CHUNK // n_cols)
+    for i in range(0, n_rows, step):
+        if i:
+            fh.write(row_sep)
+        for j in range(0, n_cols, _TEXT_CHUNK):
+            if j:
+                fh.write(sep)
+            if isinstance(columns, np.ndarray):
+                block = columns[j:j + _TEXT_CHUNK, i:i + step].T
+            else:
+                block = np.stack([c[i:i + step] for c in columns[j:j + _TEXT_CHUNK]], axis=1)
+            _write_block(fh, block, sep, row_sep, fmt)
+
+
+def _json_float(v: float) -> str:
+    """What ``json.dumps`` writes for a float: its repr, or NaN/Infinity."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """Write the non-empty dict ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would.
+
+    Float arrays among its values, 1-D or 2-D (a list of rows), are laid out
+    here and streamed through _write_values: floats keep their shortest
+    round-trip repr, and each distinct double of a chunk is formatted once.
+    Every other value goes through ``json.dumps``.
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("{")
+        for k, key in enumerate(sorted(obj)):
+            fh.write(f"{',' if k else ''}\n  {json.dumps(key)}: ")
+            value = obj[key]
+            if not isinstance(value, np.ndarray):
+                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+            elif value.ndim == 1:  # one row of one-value columns
+                fh.write("[\n    ")
+                _write_values(fh, value[:, None], ",\n    ", "", _json_float)
+                fh.write("\n  ]")
+            else:
+                fh.write("[\n    [\n      ")
+                _write_values(fh, value.T, ",\n      ", "\n    ],\n    [\n      ", _json_float)
+                fh.write("\n    ]\n  ]")
+        fh.write("\n}\n")
     print(f"wrote {path}")
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
     """Write the header, then one row per index of the equal-length columns.
 
-    ``tolist()`` turns the columns into Python floats, whose ``repr`` is the
-    shortest decimal text that reads back to the same double.
+    Values are written as the shortest decimal text that reads back to the
+    same double (``repr``); each distinct double of a chunk is formatted once.
     """
-    columns = [np.asarray(c) for c in columns]
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _CSV_CHUNK):
-            rows = zip(*(c[i:i + _CSV_CHUNK].tolist() for c in columns))
-            fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+        _write_values(fh, columns, ",", "\n")
+        fh.write("\n")
     print(f"wrote {path}")
 
 
@@ -217,8 +286,7 @@ def cmd_coeffs(cfg: RunConfig) -> None:
     if cfg.format == "csv":
         _write_csv(_out_path(cfg, "coeffs", "csv"), ",".join(names), columns)
     else:
-        data = {name: col.tolist() for name, col in zip(names, columns)}
-        data["version"] = __version__
+        data = dict(zip(names, columns), version=__version__)
         _write_json(_out_path(cfg, "coeffs", "json"), data)
 
 
@@ -241,8 +309,7 @@ def cmd_moments(cfg: RunConfig) -> None:
         _write_csv(out, ",".join(names), columns)
         _write_json(out.with_suffix(".summary.json"), summary)
     else:
-        data = {name: col.tolist() for name, col in zip(names, columns)}
-        data.update(frame=cfg.frame, summary=summary)
+        data = dict(zip(names, columns), frame=cfg.frame, summary=summary)
         _write_json(_out_path(cfg, "moments", "json"), data)
 
 
@@ -275,7 +342,7 @@ def cmd_wigner(cfg: RunConfig) -> None:
             # Header `# x_min,x_max,y_min,y_max,nx,ny`; row iy holds W(x_*, y_iy).
             _write_csv(path, "# " + ",".join(map(repr, astuple(spec))), w)
         else:
-            _write_json(path, {**asdict(spec), "values": w.T.tolist(), "version": __version__})
+            _write_json(path, {**asdict(spec), "values": w.T, "version": __version__})
 
 
 def cmd_classify(cfg: RunConfig) -> None:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import assert_canonical_layout, assert_same_text
 
 from qbrownian import cli
 from qbrownian.cli import main
@@ -117,6 +118,38 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
 
 
+def test_every_output_file_has_the_canonical_layout(tmp_path):
+    sizes = {"coeffs": ["--steps=40"], "moments": ["--steps=40"], "classify": [],
+             "wigner": ["--times=0,0.15", "--nx=9", "--ny=7"]}
+    variants = {"default": [], "g0": ["--g=0"],
+                "negzero": ["--state=coherent", "--alpha-re=-0.0"]}
+    runs = {f"{cmd}-{name}.{fmt}": [cmd, *opts, *extra]
+            for cmd, opts in sizes.items() for name, extra in variants.items()
+            for fmt in ("csv", "json")}
+    for fmt in ("csv", "json"):
+        runs[f"wigner-1x3.{fmt}"] = ["wigner", "--nx=1", "--ny=3", "--times=0.1"]
+        runs[f"moments-vacuum-g0.{fmt}"] = ["moments", "--g=0", "--state=vacuum", "--steps=20"]
+    for out, argv in runs.items():
+        assert main(argv + [f"--format={out[-4:].lstrip('.')}", f"--out={tmp_path / out}"]) == 0
+    texts = {}
+    for path in sorted(tmp_path.iterdir()):
+        assert_canonical_layout(path)
+        texts[path.name] = path.read_text(encoding="utf-8")
+    assert len(texts) == 38
+    # The edges are there: all-zero coefficients, signed zeros, one-wide
+    # grids, empty interval lists, null horizons and a null period.
+    assert "\n0.0,0.0,0.0,0.0,0.0\n" in texts["coeffs-g0.csv"]
+    assert ",-0.0," in texts["moments-negzero.csv"]
+    assert "    -0.0,\n" in texts["moments-negzero.json"]
+    assert texts["wigner-1x3_tau0.1.csv"].count("\n") == 4
+    assert np.shape(json.loads(texts["wigner-1x3_tau0.1.json"])["values"]) == (3, 1)
+    g0_classify = json.loads(texts["classify-g0.json"])
+    assert g0_classify["horizon"] == {"delta_minus_gamma": None, "delta_plus_gamma": None}
+    assert g0_classify["negative_intervals"]["delta_plus_gamma"] == []
+    assert json.loads(texts["moments-vacuum-g0.summary.json"])["oscillation_period"] is None
+    assert json.loads(texts["moments-vacuum-g0.json"])["summary"]["oscillation_period"] is None
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     assert main(["coeffs", "--g", "0.2", "--steps", "77", "--dump-config"]) == 0
     dumped = json.loads(capsys.readouterr().out)
@@ -182,16 +215,71 @@ def test_non_finite_phi_and_bad_n_sigma_exit_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def _awkward_columns(n, rng):
+    """Columns of n values that repeat across chunk boundaries, with signed
+    zeros, subnormals and +-1e300 next to each other."""
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 0.1])
+    return [
+        rng.normal(size=n),
+        rng.uniform(-1e300, 1e300, n),
+        np.arange(n) * 0.1,
+        specials[np.arange(n) % len(specials)],
+        rng.choice(specials, n),
+    ]
+
+
 def test_csv_rows_past_one_chunk(tmp_path):
     rng = np.random.default_rng(3)
-    n = 2 * cli._CSV_CHUNK + 5
-    columns = [rng.normal(size=n), rng.uniform(-1e300, 1e300, n), np.arange(n) * 0.1]
-    out = tmp_path / "t.csv"
-    cli._write_csv(out, "a,b,c", columns)
-    lines = out.read_text(encoding="utf-8").split("\n")
-    assert lines[0] == "a,b,c" and lines[-1] == "" and len(lines) == n + 2
-    for row, line in zip(zip(*(c.tolist() for c in columns)), lines[1:]):
-        assert line == ",".join(map(repr, row))
+    columns = _awkward_columns(2 * (cli._TEXT_CHUNK // 5) + 5, rng)  # 3 chunks of rows
+    # Rows longer than a chunk are written in pieces.
+    wide = np.stack([rng.choice(columns[3], cli._TEXT_CHUNK + 7) for _ in range(2)], axis=1)
+    for name, cols in (("t.csv", columns), ("wide.csv", wide)):
+        out = tmp_path / name
+        cli._write_csv(out, "a,b,c", cols)
+        lines = out.read_text(encoding="utf-8").split("\n")
+        rows = list(zip(*(c.tolist() for c in cols)))
+        assert lines[0] == "a,b,c" and lines[-1] == "" and len(lines) == len(rows) + 2
+        for row, line in zip(rows, lines[1:]):
+            assert line == ",".join(map(repr, row))
+
+
+def test_json_arrays_past_one_chunk(tmp_path):
+    rng = np.random.default_rng(4)
+    columns = _awkward_columns(cli._TEXT_CHUNK + 3, rng)
+    data = {
+        "long": columns[3],
+        "grid": np.stack(columns[:2]),  # rows longer than a chunk
+        "small": np.array([[1.5, -0.0], [math.nan, -math.inf]]),
+        "nested": {"b": [[0.1, 2.0]], "a": None},
+        "name": "x\ny",
+    }
+    out = tmp_path / "t.json"
+    cli._write_json(out, data)
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+    assert_same_text(out.read_text(encoding="utf-8"),
+                     json.dumps(plain, indent=2, sort_keys=True) + "\n")
+
+
+def test_text_writers_hold_one_chunk(tmp_path, monkeypatch):
+    """Writing four chunks' worth of values peaks within 64 KiB of writing one."""
+    monkeypatch.setattr(cli, "_TEXT_CHUNK", 1 << 12)  # a small chunk keeps tracing quick
+    rng = np.random.default_rng(6)
+
+    def peak(write, n):
+        values = rng.normal(size=n)  # distinct values: no text is shared
+        tracemalloc.start()
+        try:
+            write(values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    writers = (lambda v: cli._write_csv(tmp_path / "p.csv", "a", [v]),
+               lambda v: cli._write_json(tmp_path / "p.json", {"a": v}))
+    for write in writers:
+        one = peak(write, cli._TEXT_CHUNK)
+        four = peak(write, 4 * cli._TEXT_CHUNK)
+        assert four < one + (1 << 16), (one, four)
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,9 @@
 
 Whatever the arguments, `main` returns 0, 2 (bad input), 3 (numerical
 failure) or 4 (I/O failure), raises nothing, prints no traceback and emits no
-Python warning; on success every number it wrote is finite.  Sizes above what
-a test can afford to run go through validation only (`--dump-config`).
+Python warning; on success every number it wrote is finite, and every file it
+wrote has the canonical byte layout.  Sizes above what a test can afford to
+run go through validation only (`--dump-config`).
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+from conftest import assert_canonical_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,3 +159,5 @@ def test_any_command_line_ends_in_a_documented_exit_code(case):
         if code == 0 and run:
             written = [p for p in out_dir.iterdir() if p.name != "cfg.json"]
             assert all(_written_values_finite(p) for p in written), argv
+            for p in written:
+                assert_canonical_layout(p)
