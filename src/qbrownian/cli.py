@@ -25,9 +25,12 @@ keeps e^(2s) finite; the message names the flag or config key given),
 Delta_Gamma series' cap, the Lindblad bracket cap, an arithmetic error such
 as overflow, or a lab-frame state that rounding has pushed below the
 uncertainty bound; a value that would not be finite counts as one), 4 I/O
-failure.  `wigner` computes and checks the state and grid at every time
-before it writes its first file, so a run that fails on one writes no Wigner
-file.
+failure.  Subcommands yield their files' data; `main` writes each file to a
+`<name>.part` sibling and renames them once all are written.  So a run that
+fails while computing or writing publishes no file, removes its `.part` files
+and leaves existing files untouched; if a rename itself fails (say the name is
+a directory), the files renamed before it stay.  `classify` writes JSON
+whatever `--format` says.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def _out_path(cfg: RunConfig, default_stem: str, ext: str) -> Path:
     return Path(cfg.out or f"{default_stem}.{ext}")
 
 
-def _write_block(fh, block: np.ndarray, sep: str, row_sep: str, fmt) -> None:
+def _write_block(fh, block: np.ndarray, sep: str, row_sep: str) -> None:
     """Write the rows of a 2-D float array, formatting each distinct double once.
 
     Doubles are told apart by their bits, so -0.0 is not 0.0.  Values in a
@@ -201,7 +204,7 @@ def _write_block(fh, block: np.ndarray, sep: str, row_sep: str, fmt) -> None:
     texts are locals, freed on return, so two chunks' texts never coexist.
     """
     uniq, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, uniq.view(np.float64).tolist())), dtype=object)
+    texts = np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)
     # ravel: the inverse's shape differs across NumPy 2.0.x.
     flat, width = texts[inverse.ravel()].tolist(), block.shape[1]
     fh.write(sep.join(flat[:width]))
@@ -209,7 +212,7 @@ def _write_block(fh, block: np.ndarray, sep: str, row_sep: str, fmt) -> None:
         fh.write(row_sep + sep.join(flat[k:k + width]))
 
 
-def _write_values(fh, columns, sep: str, row_sep: str, fmt=repr) -> None:
+def _write_values(fh, columns, sep: str, row_sep: str) -> None:
     """Write row i of ``columns`` as their i-th values.
 
     ``columns`` is a 2-D array whose rows are the columns, or a sequence of
@@ -230,67 +233,57 @@ def _write_values(fh, columns, sep: str, row_sep: str, fmt=repr) -> None:
                 block = columns[j:j + _TEXT_CHUNK, i:i + step].T
             else:
                 block = np.stack([c[i:i + step] for c in columns[j:j + _TEXT_CHUNK]], axis=1)
-            _write_block(fh, block, sep, row_sep, fmt)
+            _write_block(fh, block, sep, row_sep)
 
 
-def _json_float(v: float) -> str:
-    """What ``json.dumps`` writes for a float: its repr, or NaN/Infinity."""
-    return repr(v) if math.isfinite(v) else json.dumps(v)
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    """Write the non-empty dict ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would.
+def _write_json(fh, obj: dict) -> None:
+    """Write the non-empty dict ``obj`` to ``fh`` as ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     Float arrays among its values, 1-D or 2-D (a list of rows), are laid out
     here and streamed through _write_values: floats keep their shortest
     round-trip repr, and each distinct double of a chunk is formatted once.
-    Every other value goes through ``json.dumps``.
+    Every other value goes through ``json.dumps``.  Values are finite (see `main`).
     """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("{")
-        for k, key in enumerate(sorted(obj)):
-            fh.write(f"{',' if k else ''}\n  {json.dumps(key)}: ")
-            value = obj[key]
-            if not isinstance(value, np.ndarray):
-                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
-            elif value.ndim == 1:  # one row of one-value columns
-                fh.write("[\n    ")
-                _write_values(fh, value[:, None], ",\n    ", "", _json_float)
-                fh.write("\n  ]")
-            else:
-                fh.write("[\n    [\n      ")
-                _write_values(fh, value.T, ",\n      ", "\n    ],\n    [\n      ", _json_float)
-                fh.write("\n    ]\n  ]")
-        fh.write("\n}\n")
-    print(f"wrote {path}")
+    fh.write("{")
+    for k, key in enumerate(sorted(obj)):
+        fh.write(f"{',' if k else ''}\n  {json.dumps(key)}: ")
+        value = obj[key]
+        if not isinstance(value, np.ndarray):
+            fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        elif value.ndim == 1:  # one row of one-value columns
+            fh.write("[\n    ")
+            _write_values(fh, value[:, None], ",\n    ", "")
+            fh.write("\n  ]")
+        else:
+            fh.write("[\n    [\n      ")
+            _write_values(fh, value.T, ",\n      ", "\n    ],\n    [\n      ")
+            fh.write("\n    ]\n  ]")
+    fh.write("\n}\n")
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """Write the header, then one row per index of the equal-length columns.
+def _write_csv(fh, header: str, columns) -> None:
+    """Write the header, then one row per index of the equal-length columns, to ``fh``.
 
     Values are written as the shortest decimal text that reads back to the
     same double (``repr``); each distinct double of a chunk is formatted once.
     """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        _write_values(fh, columns, ",", "\n")
-        fh.write("\n")
-    print(f"wrote {path}")
+    fh.write(header + "\n")
+    _write_values(fh, columns, ",", "\n")
+    fh.write("\n")
 
 
-def cmd_coeffs(cfg: RunConfig) -> None:
+def cmd_coeffs(cfg: RunConfig):
     p = cfg.physical_params()
     grid = coefficient_grid(p, np.linspace(0.0, cfg.tau_max, cfg.steps))
     names = ("tau", "delta", "gamma", "big_gamma", "delta_gamma")
     columns = [getattr(grid, name) for name in names]
     if cfg.format == "csv":
-        _write_csv(_out_path(cfg, "coeffs", "csv"), ",".join(names), columns)
+        yield _out_path(cfg, "coeffs", "csv"), (",".join(names), columns)
     else:
-        data = dict(zip(names, columns), version=__version__)
-        _write_json(_out_path(cfg, "coeffs", "json"), data)
+        yield _out_path(cfg, "coeffs", "json"), dict(zip(names, columns), version=__version__)
 
 
-def cmd_moments(cfg: RunConfig) -> None:
+def cmd_moments(cfg: RunConfig):
     p = cfg.physical_params()
     traj = evolve_trajectory(cfg.initial_state(), p, cfg.tau_max, cfg.steps)
     vx, vy, cxy = traj.variances(frame=cfg.frame)
@@ -306,26 +299,25 @@ def cmd_moments(cfg: RunConfig) -> None:
     columns = (traj.times, traj.n_mean, vx, vy, cxy, mx, my)
     if cfg.format == "csv":
         out = _out_path(cfg, "moments", "csv")
-        _write_csv(out, ",".join(names), columns)
-        _write_json(out.with_suffix(".summary.json"), summary)
+        yield out, (",".join(names), columns)
+        yield out.with_suffix(".summary.json"), summary
     else:
         data = dict(zip(names, columns), frame=cfg.frame, summary=summary)
-        _write_json(_out_path(cfg, "moments", "json"), data)
+        yield _out_path(cfg, "moments", "json"), data
 
 
-def cmd_wigner(cfg: RunConfig) -> None:
+def cmd_wigner(cfg: RunConfig):
     p = cfg.physical_params()
     state0 = cfg.initial_state()
     base = _out_path(cfg, "wigner", cfg.format)
-    # Every state and grid is computed and checked before the first file is
-    # written, so a run that fails on one leaves no file.  `:g` keeps six
-    # digits, so distinct times can name one file; refuse them rather than
-    # overwrite one.
-    jobs: dict[Path, tuple[float, GaussianState, GridSpec]] = {}
+    taus: dict[Path, float] = {}
     for tau in cfg.tau_list():
+        # `:g` keeps six digits, so distinct times can name one file; refuse
+        # them rather than overwrite one.
         path = base.with_name(f"{base.stem}_tau{tau:g}{base.suffix}")
-        if path in jobs:
-            raise ValueError(f"wigner times {jobs[path][0]!r} and {tau!r} both map to {path.name}")
+        if path in taus:
+            raise ValueError(f"wigner times {taus[path]!r} and {tau!r} both map to {path.name}")
+        taus[path] = tau
         state = propagate(state0, p, tau)
         # Rotating a strongly squeezed covariance into the lab frame loses about
         # eps e^(4s) of det(cov); past PHYSICALITY_TOL the grid is no state's.
@@ -333,19 +325,15 @@ def cmd_wigner(cfg: RunConfig) -> None:
             raise ArithmeticError(f"lab-frame state at tau={tau!r} is unphysical after "
                                   f"rounding: det(cov) = {state.det_cov()!r}")
         spec = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
-        wigner_gaussian(state, spec)  # evaluated and dropped: an overflow raises here
-        jobs[path] = tau, state, spec
-    # One grid at a time is evaluated and written, so only one is held in memory.
-    for path, (_, state, spec) in jobs.items():
         w = wigner_gaussian(state, spec).values
         if cfg.format == "csv":
             # Header `# x_min,x_max,y_min,y_max,nx,ny`; row iy holds W(x_*, y_iy).
-            _write_csv(path, "# " + ",".join(map(repr, astuple(spec))), w)
+            yield path, ("# " + ",".join(map(repr, astuple(spec))), w)
         else:
-            _write_json(path, {**asdict(spec), "values": w.T, "version": __version__})
+            yield path, {**asdict(spec), "values": w.T, "version": __version__}
 
 
-def cmd_classify(cfg: RunConfig) -> None:
+def cmd_classify(cfg: RunConfig):
     p = cfg.physical_params()
     result = classify_lindblad(p, cfg.tau_max)
     data = {
@@ -361,15 +349,12 @@ def cmd_classify(cfg: RunConfig) -> None:
         "tau_max": cfg.tau_max,
         "version": __version__,
     }
-    _write_json(_out_path(cfg, "classify", "json"), data)
+    yield _out_path(cfg, "classify", "json"), data
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "moments": cmd_moments,
-    "wigner": cmd_wigner,
-    "classify": cmd_classify,
-}
+# Each yields (path, data) per file: a dict for JSON, (header, columns) for CSV.
+_COMMANDS = {"coeffs": cmd_coeffs, "moments": cmd_moments, "wigner": cmd_wigner,
+             "classify": cmd_classify}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,12 +421,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump_config:
         print(json.dumps(asdict(cfg), indent=2, sort_keys=True))
         return 0
+    parts: dict[Path, Path] = {}  # output path -> the part file it is written to first
     try:
         # An overflow or an invalid operation would leave a non-finite value
         # in the data: it raises FloatingPointError.  That and IntegrationError
         # are ArithmeticErrors.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _COMMANDS[args.command](cfg)
+            for path, data in _COMMANDS[args.command](cfg):
+                part = Path(f"{path}.part")
+                with part.open("w", encoding="utf-8") as fh:
+                    parts[path] = part
+                    if isinstance(data, dict):
+                        _write_json(fh, data)
+                    else:
+                        _write_csv(fh, *data)
+        for path, part in parts.items():
+            part.replace(path)
+            print(f"wrote {path}")
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -451,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
     return 0
 
 

@@ -228,6 +228,11 @@ def _awkward_columns(n, rng):
     ]
 
 
+def _write(path, writer, *args):
+    with path.open("w", encoding="utf-8") as fh:
+        writer(fh, *args)
+
+
 def test_csv_rows_past_one_chunk(tmp_path):
     rng = np.random.default_rng(3)
     columns = _awkward_columns(2 * (cli._TEXT_CHUNK // 5) + 5, rng)  # 3 chunks of rows
@@ -235,7 +240,7 @@ def test_csv_rows_past_one_chunk(tmp_path):
     wide = np.stack([rng.choice(columns[3], cli._TEXT_CHUNK + 7) for _ in range(2)], axis=1)
     for name, cols in (("t.csv", columns), ("wide.csv", wide)):
         out = tmp_path / name
-        cli._write_csv(out, "a,b,c", cols)
+        _write(out, cli._write_csv, "a,b,c", cols)
         lines = out.read_text(encoding="utf-8").split("\n")
         rows = list(zip(*(c.tolist() for c in cols)))
         assert lines[0] == "a,b,c" and lines[-1] == "" and len(lines) == len(rows) + 2
@@ -249,12 +254,12 @@ def test_json_arrays_past_one_chunk(tmp_path):
     data = {
         "long": columns[3],
         "grid": np.stack(columns[:2]),  # rows longer than a chunk
-        "small": np.array([[1.5, -0.0], [math.nan, -math.inf]]),
+        "small": np.array([[1.5, -0.0], [5e-324, -1e300]]),
         "nested": {"b": [[0.1, 2.0]], "a": None},
         "name": "x\ny",
     }
     out = tmp_path / "t.json"
-    cli._write_json(out, data)
+    _write(out, cli._write_json, data)
     plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
     assert_same_text(out.read_text(encoding="utf-8"),
                      json.dumps(plain, indent=2, sort_keys=True) + "\n")
@@ -274,8 +279,8 @@ def test_text_writers_hold_one_chunk(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    writers = (lambda v: cli._write_csv(tmp_path / "p.csv", "a", [v]),
-               lambda v: cli._write_json(tmp_path / "p.json", {"a": v}))
+    writers = (lambda v: _write(tmp_path / "p.csv", cli._write_csv, "a", [v]),
+               lambda v: _write(tmp_path / "p.json", cli._write_json, {"a": v}))
     for write in writers:
         one = peak(write, cli._TEXT_CHUNK)
         four = peak(write, 4 * cli._TEXT_CHUNK)
@@ -515,3 +520,60 @@ def test_empty_or_non_finite_wigner_times_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("wigner times must be finite, >= 0 and not empty") == len(inputs)
     assert not list(tmp_path.iterdir())
+
+
+def _fail_on_second_csv(monkeypatch):
+    """Make the second CSV file of a run fail to write, as a full disk would."""
+    write, calls = cli._write_csv, []
+
+    def flaky(fh, *args):
+        calls.append(fh)
+        if len(calls) == 2:
+            raise OSError("No space left on device")
+        write(fh, *args)
+
+    monkeypatch.setattr(cli, "_write_csv", flaky)
+
+
+def test_io_error_mid_run_publishes_nothing(tmp_path, monkeypatch, capsys):
+    _fail_on_second_csv(monkeypatch)
+    assert main(["wigner", "--times=0,0.1,0.2", "--nx=5", "--ny=5",
+                 "--out", str(tmp_path / "w.csv")]) == 4
+    assert "I/O failure: No space left on device" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no w_tau*.csv and no .part file
+
+
+def test_failing_runs_keep_existing_files(tmp_path, monkeypatch, capsys):
+    sentinel = tmp_path / "w_tau0.csv"
+    sentinel.write_bytes(b"kept\n")
+    out = ["--nx=5", "--ny=5", "--out", str(tmp_path / "w.csv")]
+    _fail_on_second_csv(monkeypatch)
+    assert main(["wigner", "--times=0,0.1,0.2", *out]) == 4
+    monkeypatch.undo()
+    assert main(["wigner", "--g=0", "--squeeze-s=10", "--times=0,0.1", *out]) == 3
+    assert main(["wigner", "--times=0,0.1,0.1000001", *out]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["w_tau0.csv"]
+    assert sentinel.read_bytes() == b"kept\n"
+    assert "wrote" not in capsys.readouterr().out
+
+
+def test_failed_rename_keeps_the_files_renamed_before_it(tmp_path, capsys):
+    (tmp_path / "w_tau0.1.csv").mkdir()  # a directory cannot be replaced by a file
+    assert main(["wigner", "--times=0,0.1", "--nx=5", "--ny=5",
+                 "--out", str(tmp_path / "w.csv")]) == 4
+    assert "wrote" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w_tau0.1.csv", "w_tau0.csv"]
+    assert (tmp_path / "w_tau0.1.csv").is_dir()
+
+
+def test_each_wigner_grid_is_evaluated_once(tmp_path, monkeypatch):
+    evaluate, calls = cli.wigner_gaussian, []
+
+    def counted(state, spec):
+        calls.append(spec)
+        return evaluate(state, spec)
+
+    monkeypatch.setattr(cli, "wigner_gaussian", counted)
+    assert main(["wigner", "--times=0,0.1,0.2", "--nx=5", "--ny=5",
+                 "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(calls) == 3

@@ -171,7 +171,9 @@ def test_grid_validation():
 
 def test_scalar_functions_equal_array_kernel_bit_for_bit():
     rng = np.random.default_rng(11)
-    for p in (FIG1, PhysicalParams(g=0.3, r=1.7, kt_over_wc=20.0)):
+    # at r = 1e-6 the phase tau/r is reduced in extended precision
+    small_r = PhysicalParams(g=0.1, r=1e-6, kt_over_wc=FIG1.kt_over_wc)
+    for p in (FIG1, PhysicalParams(g=0.3, r=1.7, kt_over_wc=20.0), small_r):
         taus = np.sort(rng.uniform(0.0, 60.0, size=4001))
         delta, gamma, big = closed_forms(p, taus)
         delta_gamma = coefficient_grid(p, taus).delta_gamma
