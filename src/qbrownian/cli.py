@@ -4,7 +4,8 @@ Subcommands
 -----------
 coeffs    time-dependent coefficients on a uniform grid
 moments   Gaussian-state trajectory (means/variances/<n>) plus a JSON summary
-wigner    Wigner-function grids of the evolved state at chosen times
+wigner    Wigner-function grids of the evolved state at chosen times (lab
+          or corotating frame)
 classify  Lindblad-type sign analysis of Delta +/- gamma
 
 Configuration precedence: command-line flags override config-file values,
@@ -23,8 +24,9 @@ sigma2 outside [2.2e-308, 1], whose lower end, the smallest normal double,
 keeps e^(2s) finite; the message names the flag or config key given),
 3 numerical failure (a coupling |c| = 2 g^2 r^2/(1+r^2) above the
 Delta_Gamma series' cap, the Lindblad bracket cap, an arithmetic error such
-as overflow, or a lab-frame state that rounding has pushed below the
-uncertainty bound; a value that would not be finite counts as one), 4 I/O
+as overflow, or a wigner state below the uncertainty bound, where rounding
+pushes strongly squeezed lab-frame states; a value that would not be finite
+counts as one), 4 I/O
 failure.  Subcommands yield their files' data; `main` writes each file to a
 `<name>.part` sibling and renames them once all are written.  So a run that
 fails while computing or writing publishes no file, removes its `.part` files
@@ -89,7 +91,7 @@ class RunConfig:
     ny: int = 201
     n_sigma: float = 6.0
     times: str = "0,0.15,0.3,0.45"  # wigner sample times, comma-separated
-    frame: str = "lab"  # moments CSV frame: lab | corotating
+    frame: str = "lab"  # moments and wigner frame: lab | corotating
     out: str = ""  # empty -> per-command default filename
     format: str = "csv"  # csv | json
 
@@ -318,12 +320,13 @@ def cmd_wigner(cfg: RunConfig):
         if path in taus:
             raise ValueError(f"wigner times {taus[path]!r} and {tau!r} both map to {path.name}")
         taus[path] = tau
-        state = propagate(state0, p, tau)
-        # Rotating a strongly squeezed covariance into the lab frame loses about
-        # eps e^(4s) of det(cov); past PHYSICALITY_TOL the grid is no state's.
+        state = propagate(state0, p, tau, frame=cfg.frame)
+        # Past PHYSICALITY_TOL the grid is no state's.  Rotating a strongly
+        # squeezed covariance into the lab frame loses about eps e^(4s) of det(cov).
         if not state.is_physical():
-            raise ArithmeticError(f"lab-frame state at tau={tau!r} is unphysical after "
-                                  f"rounding: det(cov) = {state.det_cov()!r}")
+            cause = " after rounding" if cfg.frame == "lab" else ""
+            raise ArithmeticError(f"{cfg.frame}-frame state at tau={tau!r} is unphysical"
+                                  f"{cause}: det(cov) = {state.det_cov()!r}")
         spec = GridSpec.cover_state(state, n_sigma=cfg.n_sigma, nx=cfg.nx, ny=cfg.ny)
         w = wigner_gaussian(state, spec).values
         if cfg.format == "csv":
@@ -396,10 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit Delta, gamma, Gamma, Delta_Gamma on a time grid")
     mom = sub.add_parser("moments", parents=[shared],
                          help="emit a moment trajectory and a summary JSON")
-    mom.add_argument("--frame", choices=["lab", "corotating"],
-                     help="frame for the emitted means/variances")
     wig = sub.add_parser("wigner", parents=[shared],
                          help="emit Wigner grids of the evolved state")
+    for framed in (mom, wig):
+        framed.add_argument("--frame", choices=["lab", "corotating"],
+                            help="frame of the emitted moments or grids")
     wig.add_argument("--times", type=str, help="comma-separated sample times")
     wig.add_argument("--nx", type=int, help="grid points along alpha_x")
     wig.add_argument("--ny", type=int, help="grid points along alpha_y")

@@ -21,8 +21,9 @@ without quadrature.  The series converges for any coupling, but its terms
 cancel as |c| = 2 g^2 r^2/(1+r^2) grows, so strong coupling (|c| above 7) is
 refused as a numerical failure.
 
-`closed_forms` evaluates Delta, gamma and Gamma on arrays; the scalar
-functions `delta_coeff`, `gamma_coeff` and `big_gamma` call it on one time,
+`closed_forms` evaluates Delta, gamma and Gamma on arrays, on top of
+`_rates`, which evaluates Delta and gamma alone; the scalar functions
+`delta_coeff`, `gamma_coeff` and `big_gamma` call them on one time,
 and `delta_big_gamma` calls the array series behind `coefficient_grid`, so a
 scalar value equals the corresponding grid entry bit for bit.
 
@@ -170,23 +171,10 @@ def _half_phase(tau, r: float):
     return np.float64(_LD_ONE * tau / (2.0 * r) % _TWO_PI)
 
 
-def closed_forms(
-    p: PhysicalParams, tau
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Delta, gamma, Gamma) at the times ``tau``, elementwise on arrays.
-
-    The formulas are those documented on `delta_coeff`, `gamma_coeff` and
-    `big_gamma`.  Times are not validated here; the scalar functions and
-    `coefficient_grid` check them.
-
-    At small tau, gamma (of order tau^2) and Gamma (tau^3) lose relative
-    accuracy by cancellation: both are formed from terms of order tau.
-    Against 50-digit evaluations of the same formulas at r = 1, gamma and
-    Gamma are off by 1.7e-9 and 2.2e-4 at tau = 1e-4, 2.9e-5 and 2.5e2 at
-    tau = 1e-6 (at r = 0.05: 2.8e-11 and 1.2e-8, 1.1e-7 and 1.4e-3).  The
-    absolute errors, about 1e-18 at g = 0.1, are far below anything
-    exp(-Gamma) can see; Delta stays within 1.1e-9.
-    """
+def _rates(p: PhysicalParams, tau):
+    """Delta and gamma at the times ``tau``, elementwise on arrays, as in
+    `closed_forms`; and the terms Gamma reuses: ``tau`` as an array,
+    e^(-tau), cos(tau/r), sin(tau/r) and Delta's bracket."""
     tau = np.asarray(tau, dtype=float)[()]
     w = 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
@@ -196,10 +184,33 @@ def closed_forms(
     bracket = 1.0 - e * (c - w * s)
     delta = pref_delta * bracket
     gamma = pref_gamma * (1.0 - e * c - p.r * e * s)
+    return delta, gamma, (tau, e, c, s, bracket)
+
+
+def closed_forms(
+    p: PhysicalParams, tau
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Delta, gamma, Gamma) at the times ``tau``, elementwise on arrays.
+
+    The formulas are those documented on `delta_coeff`, `gamma_coeff` and
+    `big_gamma`.  Times are not validated here; the scalar functions and
+    `coefficient_grid` check them.  Callers that need only Delta and gamma
+    call `_rates`, which this function extends by Gamma.
+
+    At small tau, gamma (of order tau^2) and Gamma (tau^3) lose relative
+    accuracy by cancellation: both are formed from terms of order tau.
+    Against 50-digit evaluations of the same formulas at r = 1, gamma and
+    Gamma are off by 1.7e-9 and 2.2e-4 at tau = 1e-4, 2.9e-5 and 2.5e2 at
+    tau = 1e-6 (at r = 0.05: 2.8e-11 and 1.2e-8, 1.1e-7 and 1.4e-3).  The
+    absolute errors, about 1e-18 at g = 0.1, are far below anything
+    exp(-Gamma) can see; Delta stays within 1.1e-9.
+    """
+    delta, gamma, (tau, e, c, s, bracket) = _rates(p, tau)
+    w = 1.0 / p.r
     denom = 1.0 + w * w
     int_cos = bracket / denom
     int_sin = (w - e * (s + w * c)) / denom
-    big = 2.0 * pref_gamma * (tau - int_cos - p.r * int_sin)
+    big = 2.0 * p.prefactors[1] * (tau - int_cos - p.r * int_sin)
     return delta, gamma, big
 
 
@@ -213,7 +224,7 @@ def delta_coeff(p: PhysicalParams, tau: float) -> float:
     r << 1), and relaxes to the positive asymptote as the e^(-tau) transient
     dies out.
     """
-    return float(closed_forms(p, _check_tau(tau))[0])
+    return float(_rates(p, _check_tau(tau))[0])
 
 
 def gamma_coeff(p: PhysicalParams, tau: float) -> float:
@@ -222,7 +233,7 @@ def gamma_coeff(p: PhysicalParams, tau: float) -> float:
     gamma(tau) = g^2 r/(1+r^2)
                  * [1 - e^(-tau) cos(tau/r) - r e^(-tau) sin(tau/r)].
     """
-    return float(closed_forms(p, _check_tau(tau))[1])
+    return float(_rates(p, _check_tau(tau))[1])
 
 
 def big_gamma(p: PhysicalParams, tau: float) -> float:
@@ -375,7 +386,7 @@ def classify_lindblad(
     between extrema pi*r apart, and past the horizon tau* = ln(sqrt(A^2+C^2)/|A|)
     it has the sign of A.  The sign changes on [0, min(tau_max, tau*)], each
     bracketed between consecutive extrema, are cut down together on
-    `closed_forms` to adjacent doubles; a boundary is the first double past its
+    `_rates` to adjacent doubles; a boundary is the first double past its
     sign change.  Nothing is sampled, so tau_max beyond tau* changes nothing.
     ``n_samples`` is ignored.  Raises IntegrationError above _MAX_BRACKETS.
     """
@@ -397,7 +408,7 @@ def classify_lindblad(
         knots.append(np.concatenate(([0.0], ext[(ext > 0.0) & (ext < end)], [end, tau_max])))
     sizes = [len(k) for k in knots]
     t, sign = np.concatenate(knots), np.repeat([1.0, -1.0], sizes)
-    d, g, _ = closed_forms(p, t)
+    d, g, _ = _rates(p, t)
     neg = d + sign * g < 0.0
     i = np.flatnonzero((neg[:-1] != neg[1:]) & (sign[:-1] == sign[1:]))
     # Cut every bracket into equal parts and keep the one where f changes
@@ -407,7 +418,7 @@ def classify_lindblad(
     inner, far = np.arange(1, parts) / parts, np.ones((len(i), 1), dtype=bool)
     while np.any(np.nextafter(lo, hi) < hi):
         x = lo[:, None] + (hi - lo)[:, None] * inner
-        d, g, _ = closed_forms(p, x)
+        d, g, _ = _rates(p, x)
         j = np.argmax(np.hstack(((d + s * g < 0.0) != lo_neg, far)), axis=1)
         x = np.hstack((lo[:, None], x, hi[:, None]))
         lo, hi = x[rows, j], x[rows, j + 1]

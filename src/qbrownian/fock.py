@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import PhysicalParams, closed_forms
+from .coefficients import PhysicalParams, _rates
 from .quadrature import IntegrationError
 from .wigner import GridSpec, WignerGrid
 
@@ -286,7 +286,7 @@ def integrate_me(
     recording interval H = min(0.04 * min(1, r), STIFFNESS_BOUND / (2 dim
     max|Delta|)), rounded down so the record lands on a macro step, with
     max|Delta| over the coefficients at the interval's substep times (one
-    `closed_forms` call).  The packed upper bands of the Hermitian part of
+    `_rates` call).  The packed upper bands of the Hermitian part of
     ``state0.rho`` are integrated (see `_RhsWork`).  The trace is renormalized
     every macro step; a drift beyond 1e-6 in one aborts, as does negativity
     beyond 1e-7 at a record.  ``trace_drift`` holds per record the largest
@@ -331,7 +331,7 @@ def integrate_me(
             steps = need
             h = rec_dt / steps
             t0s = times[k - 1] + np.arange(steps) * h
-            deltas, gammas, _ = closed_forms(p, t0s[:, None] + _NODES * h)
+            deltas, gammas, _ = _rates(p, t0s[:, None] + _NODES * h)
             need = math.ceil(rec_dt * 2.0 * dim * np.abs(deltas).max() / STIFFNESS_BOUND)
         for t0, d, g in zip(t0s.tolist(), deltas[:, :, None], gammas[:, :, None]):
             work.weights(d, g, w)

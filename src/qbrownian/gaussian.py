@@ -13,7 +13,8 @@ e^(-i w0 tau) is undone, it contracts the state and adds isotropic noise:
 
 `_channel` applies this law on a time grid.  The lab frame is one rotation
 R(-w0 tau) of its result, applied where a lab state leaves this module: the
-state `propagate` returns and the moments `evolve_trajectory` stores.
+state `propagate` returns (unless asked for the corotating one) and the
+moments `evolve_trajectory` stores.
 Corotating moments (`Trajectory.variances`/`means`, squeezing intervals)
 evaluate the law itself; the uncertainty bound and <n>, both rotation
 invariants, are taken on them too.
@@ -163,17 +164,28 @@ def _channel(state0: GaussianState, coeffs: CoefficientGrid) -> tuple[np.ndarray
     return mean, cov
 
 
-def propagate(state0: GaussianState, p: PhysicalParams, tau: float) -> GaussianState:
-    """Evolve a Gaussian state to time ``tau`` (lab frame), single shot.
+def _check_frame(frame: str) -> str:
+    if frame not in ("lab", "corotating"):
+        raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
+    return frame
 
-    The coefficients are closed forms; a coupling above the Delta_Gamma
-    series' cap raises IntegrationError.
+
+def propagate(
+    state0: GaussianState, p: PhysicalParams, tau: float, frame: str = "lab"
+) -> GaussianState:
+    """Evolve a Gaussian state to time ``tau``, single shot.
+
+    ``frame`` is "lab" or "corotating" (the channel law itself, without the
+    final rotation R(-w0 tau)).  The coefficients are closed forms; a
+    coupling above the Delta_Gamma series' cap raises IntegrationError.
     """
     tau = float(tau)
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     coeffs = coefficient_grid(p, [tau])
-    mean, cov = _rotate(*_channel(state0, coeffs), -p.omega0 * coeffs.tau)
+    mean, cov = _channel(state0, coeffs)
+    if _check_frame(frame) == "lab":
+        mean, cov = _rotate(mean, cov, -p.omega0 * coeffs.tau)
     return GaussianState(mean[0], cov[0])
 
 
@@ -226,9 +238,7 @@ class Trajectory:
         return GaussianState(self.mean[k], self.cov[k])
 
     def _in_frame(self, frame: str) -> tuple[np.ndarray, np.ndarray]:
-        if frame not in ("lab", "corotating"):
-            raise ValueError(f"frame must be 'lab' or 'corotating', got {frame!r}")
-        if frame == "lab":
+        if _check_frame(frame) == "lab":
             return self.mean, self.cov
         return _channel(self.state(0), self.coeffs)
 

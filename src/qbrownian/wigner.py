@@ -61,6 +61,12 @@ class GridSpec:
     ) -> "GridSpec":
         """Grid covering ``n_sigma`` marginal standard deviations of a state.
 
+        The box is centred on the mean: each extent is the centre plus or
+        minus a half-width, rounded once, so the extents' midpoint is within
+        1 ulp of the larger extent of the mean.  `wigner_gaussian` counts
+        such a grid as centred, and its values are then point-symmetric about
+        the mean bit for bit: W[nx-1-i, ny-1-j] == W[i, j].
+
         Known limit: the box is axis-aligned, so it undersamples a strongly
         squeezed ellipse rotated off the axes, and the grid's mass is wrong.
         """
@@ -129,6 +135,22 @@ def grid_moments(grid: WignerGrid) -> GridMoments:
     return GridMoments(norm, mean_q, cov_q)
 
 
+def _offsets(lo: float, hi: float, n: int, d: float, mean: float) -> np.ndarray:
+    """Offsets from ``mean`` of the ``n`` cell-centred nodes of spacing ``d`` on [lo, hi].
+
+    Node k sits at (k - (n-1)/2) d from the axis centre; a half-integer times
+    d negates exactly, so these offsets are exactly antisymmetric.  The
+    centre's own offset from the mean is added unless it is within 4 ulp of
+    the larger extent, the rounding the node coordinates lo + (k+1/2) d carry
+    anyway.
+    """
+    s = (np.arange(n) - 0.5 * (n - 1)) * d
+    centre = 0.5 * (lo + hi) - mean
+    if abs(centre) > 4.0 * math.ulp(max(abs(lo), abs(hi))):
+        s += centre
+    return s
+
+
 def wigner_gaussian(state: GaussianState, grid: GridSpec) -> WignerGrid:
     """Wigner function of a Gaussian state evaluated on a grid.
 
@@ -136,6 +158,13 @@ def wigner_gaussian(state: GaussianState, grid: GridSpec) -> WignerGrid:
     with C = cov/2 and u = alpha - mean/sqrt(2); equivalently the quadrature
     -coordinate density times the Jacobian factor 2, so that the integral over
     d^2alpha is 1.  Gaussian states give strictly positive values everywhere.
+
+    u is measured from the grid's centre (see `_offsets`).  Where the centre
+    lies within 4 ulp of the larger extent from the mean on both axes, as on
+    every `GridSpec.cover_state` grid, u is exactly antisymmetric and the
+    values are point-symmetric bit for bit: W[nx-1-i, ny-1-j] == W[i, j].
+    Other grids add the centre's offset and agree with u taken at
+    `x_coords`/`y_coords` to rounding.
     """
     det = state.det_cov()
     if det <= 0.0:
@@ -143,8 +172,9 @@ def wigner_gaussian(state: GaussianState, grid: GridSpec) -> WignerGrid:
     cov_a = state.cov / 2.0
     inv = np.linalg.inv(cov_a)
     pref = 1.0 / (2.0 * math.pi * math.sqrt(det / 4.0))
-    ux = grid.x_coords() - state.mean[0] / _SQRT2
-    uy = grid.y_coords() - state.mean[1] / _SQRT2
+    mx, my = (state.mean / _SQRT2).tolist()
+    ux = _offsets(grid.x_min, grid.x_max, grid.nx, grid.dx, mx)
+    uy = _offsets(grid.y_min, grid.y_max, grid.ny, grid.dy, my)
     # Quadratic form expanded over the tensor grid.
     q = (
         inv[0, 0] * ux[:, None] ** 2

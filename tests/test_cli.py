@@ -18,8 +18,8 @@ from qbrownian.wigner import GridSpec, wigner_gaussian
 FIG1 = PhysicalParams(g=0.1, r=0.05, kt_over_wc=1.0 / (2.0 * math.pi * 3.0e-5))
 
 
-def expected_wigner(state0, tau, nx, ny):
-    state = propagate(state0, FIG1, tau)
+def expected_wigner(state0, tau, nx, ny, frame="lab"):
+    state = propagate(state0, FIG1, tau, frame=frame)
     return wigner_gaussian(state, GridSpec.cover_state(state, n_sigma=6.0, nx=nx, ny=ny))
 
 
@@ -414,6 +414,30 @@ def test_wigner_json_grid(tmp_path):
         float(s.x_min), float(s.x_max), float(s.y_min), float(s.y_max)
     ]
     assert np.array_equal(np.array(data["values"]).T, want.values)
+
+
+def test_wigner_frame_flag_and_config(tmp_path):
+    # In the lab frame this squeezed ellipse lies across the axes and aliases
+    # on the axis-aligned grid; in the corotating frame it stays on them.
+    def mass(path):
+        lines = path.read_text().splitlines()
+        x_min, x_max, y_min, y_max, nx, ny = map(float, lines[0][2:].split(","))
+        vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
+        return vals, vals.sum() * (x_max - x_min) / nx * (y_max - y_min) / ny
+
+    base = ["wigner", "--sigma2=1e-3", "--times=0.01"]
+    assert main(base + ["--out", str(tmp_path / "lab.csv")]) == 0
+    assert main(base + ["--frame=corotating", "--out", str(tmp_path / "cor.csv")]) == 0
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"frame": "corotating"}')
+    assert main(base + ["--config", str(cfg_file), "--out", str(tmp_path / "cfg.csv")]) == 0
+    assert mass(tmp_path / "lab_tau0.01.csv")[1] > 1.3
+    vals, cor_mass = mass(tmp_path / "cor_tau0.01.csv")
+    assert abs(cor_mass - 1.0) <= 1e-6
+    want = expected_wigner(make_squeezed(0.0, squeeze_from_sigma2(1e-3)), 0.01, 201, 201,
+                           frame="corotating")
+    assert np.array_equal(vals, want.values)
+    assert (tmp_path / "cfg_tau0.01.csv").read_bytes() == (tmp_path / "cor_tau0.01.csv").read_bytes()
 
 
 def test_classify_json(tmp_path):

@@ -60,8 +60,9 @@ FLOAT_FLAGS = (("g",), ("r",), ("kt-over-wc", "wc-over-2pikt"), ("alpha-re",), (
 CHOICES = {"state": (("vacuum", "coherent", "squeezed"), "thermal"),
            "format": (("csv", "json"), "xml")}
 # Options only one subcommand accepts.
-OWN = {"wigner": {"n-sigma": floats(), "times": TIMES},
-       "moments": {"frame": st.sampled_from(("lab", "corotating"))}}
+FRAMES = st.sampled_from(("lab", "corotating"))
+OWN = {"wigner": {"n-sigma": floats(), "times": TIMES, "frame": FRAMES},
+       "moments": {"frame": FRAMES}}
 
 
 @st.composite

@@ -155,6 +155,14 @@ def test_corotating_frame_undoes_free_rotation_exactly():
     np.testing.assert_allclose(lab_vy, cor_vy, rtol=1e-12)
     with pytest.raises(ValueError):
         traj.variances(frame="heliocentric")
+    # a single-shot corotating state is the same law, bit for bit
+    mx, my = traj.means(frame="corotating")
+    for k in (0, 17, 50):
+        one = propagate(st, FIG1, traj.times[k], frame="corotating")
+        assert one.mean.tolist() == [mx[k], my[k]]
+        assert one.cov.ravel().tolist() == [vx[k], cxy[k], cxy[k], vy[k]]
+    with pytest.raises(ValueError):
+        propagate(st, FIG1, 0.1, frame="heliocentric")
 
 
 def test_means_decay_and_rotate():

@@ -54,6 +54,46 @@ def test_cover_state_tracks_mean_and_spread():
     assert (g.nx, g.ny) == (11, 21)
 
 
+UNCOUPLED = PhysicalParams(g=0.0, r=0.05, kt_over_wc=FIG1.kt_over_wc)
+SYMMETRY_STATES = {
+    "vacuum": make_coherent(0.0),
+    "coherent": make_coherent(-1.7 + 0.4j),
+    "squeezed on the axes": make_squeezed(0.3 - 2.0j, squeeze_from_sigma2(1e-3)),
+    "squeezed, lab-rotated": propagate(make_squeezed(ALPHA0, squeeze_from_sigma2(0.1)), FIG1, 0.15),
+    "squeezed, lab-rotated at g = 0": propagate(
+        make_squeezed(-0.6 + 0.9j, squeeze_from_sigma2(0.02), 0.7), UNCOUPLED, 0.013),
+    "coherent after the transient": propagate(make_coherent(ALPHA0), FIG1, 0.45),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_STATES)
+@pytest.mark.parametrize("nx, ny", [(151, 151), (201, 201), (8, 8), (9, 14), (1, 2)])
+def test_cover_state_grids_are_point_symmetric_bit_for_bit(name, nx, ny):
+    st = SYMMETRY_STATES[name]
+    w = wigner_gaussian(st, GridSpec.cover_state(st, nx=nx, ny=ny)).values
+    assert np.array_equal(w, w[::-1, ::-1])
+
+
+def test_off_centre_grids_match_the_density_at_the_nodes():
+    # A user grid, an inner grid pushed off the mean, and a grid whose centre
+    # is off by a few thousand ulp: the centre's offset must enter every value.
+    st = propagate(make_squeezed(0.4 - 0.3j, squeeze_from_sigma2(0.1), 0.5), FIG1, 0.3)
+    cover = GridSpec.cover_state(st, nx=40, ny=33)
+    shift = 1e-12
+    grids = (GridSpec(-2.3, 1.7, -0.9, 3.1, 40, 33),
+             GridSpec(cover.x_min - 0.3, cover.x_max + 0.1, cover.y_min, cover.y_max + 0.6, 15, 13),
+             GridSpec(cover.x_min + shift, cover.x_max + shift,
+                      cover.y_min - shift, cover.y_max - shift, 40, 33))
+    inv = np.linalg.inv(st.cov / 2.0)
+    pref = 1.0 / (2.0 * math.pi * math.sqrt(st.det_cov() / 4.0))
+    for grid in grids:
+        u = np.stack(np.meshgrid(grid.x_coords(), grid.y_coords(), indexing="ij"), axis=-1)
+        u -= st.mean / math.sqrt(2.0)
+        want = pref * np.exp(-0.5 * np.einsum("...i,ij,...j->...", u, inv, u))
+        got = wigner_gaussian(st, grid).values
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+
 def test_wigner_grid_validation():
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
