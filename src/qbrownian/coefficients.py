@@ -25,7 +25,9 @@ refused as a numerical failure.
 `_rates`, which evaluates Delta and gamma alone; the scalar functions
 `delta_coeff`, `gamma_coeff` and `big_gamma` call them on one time,
 and `delta_big_gamma` calls the array series behind `coefficient_grid`, so a
-scalar value equals the corresponding grid entry bit for bit.
+scalar value equals the corresponding grid entry bit for bit.  One time runs
+the formulas on Python floats, without NumPy's per-call cost on 0-d values;
+each operation rounds as its array counterpart does.
 
 The generator is of Lindblad type while both rates Delta +/- gamma are
 non-negative.  Each rate is A (1 - e^(-tau) cos(tau/r)) + C e^(-tau) sin(tau/r),
@@ -174,13 +176,24 @@ def _half_phase(tau, r: float):
 def _rates(p: PhysicalParams, tau):
     """Delta and gamma at the times ``tau``, elementwise on arrays, as in
     `closed_forms`; and the terms Gamma reuses: ``tau`` as an array,
-    e^(-tau), cos(tau/r), sin(tau/r) and Delta's bracket."""
-    tau = np.asarray(tau, dtype=float)[()]
+    e^(-tau), cos(tau/r), sin(tau/r) and Delta's bracket.
+
+    A float ``tau`` runs the same formula lines on Python floats, which
+    round each operation as the array path does.  e^(-tau) stays NumPy's
+    (`math.exp` differs on a few percent of times); `math.cos`/`math.sin`
+    agree with NumPy's bit for bit, as the scalar tests check.
+    """
     w = 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
-    e = np.exp(-tau)
-    phase = 2.0 * _half_phase(tau, p.r)
-    c, s = np.cos(phase), np.sin(phase)
+    if isinstance(tau, float):
+        e = float(np.exp(-tau))
+        phase = 2.0 * float(_half_phase(tau, p.r))
+        c, s = math.cos(phase), math.sin(phase)
+    else:
+        tau = np.asarray(tau, dtype=float)[()]
+        e = np.exp(-tau)
+        phase = 2.0 * _half_phase(tau, p.r)
+        c, s = np.cos(phase), np.sin(phase)
     bracket = 1.0 - e * (c - w * s)
     delta = pref_delta * bracket
     gamma = pref_gamma * (1.0 - e * c - p.r * e * s)
@@ -224,7 +237,7 @@ def delta_coeff(p: PhysicalParams, tau: float) -> float:
     r << 1), and relaxes to the positive asymptote as the e^(-tau) transient
     dies out.
     """
-    return float(_rates(p, _check_tau(tau))[0])
+    return _rates(p, _check_tau(tau))[0]
 
 
 def gamma_coeff(p: PhysicalParams, tau: float) -> float:
@@ -233,7 +246,7 @@ def gamma_coeff(p: PhysicalParams, tau: float) -> float:
     gamma(tau) = g^2 r/(1+r^2)
                  * [1 - e^(-tau) cos(tau/r) - r e^(-tau) sin(tau/r)].
     """
-    return float(_rates(p, _check_tau(tau))[1])
+    return _rates(p, _check_tau(tau))[1]
 
 
 def big_gamma(p: PhysicalParams, tau: float) -> float:
@@ -244,7 +257,7 @@ def big_gamma(p: PhysicalParams, tau: float) -> float:
         integral_0^tau e^(-s) sin(ws) ds = [w - e^(-tau)(sin + w cos)] / (1+w^2)
     with w = 1/r; no quadrature is involved.
     """
-    return float(closed_forms(p, _check_tau(tau))[2])
+    return closed_forms(p, _check_tau(tau))[2]
 
 
 def _delta_gamma(p: PhysicalParams, taus: np.ndarray) -> np.ndarray:

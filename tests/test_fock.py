@@ -341,6 +341,60 @@ def test_wigner_number_state_matches_laguerre_closed_form(n, dim, edge):
     assert np.abs(wf.values - closed(r2)).max() <= 1e-13
 
 
+def _mp_wigner(rho, alpha, mp):
+    """W(alpha) = (2/pi) sum_mn rho_mn (-1)^m <n|D(2 alpha)|m> in mpmath, with the
+    Cahill-Glauber forms, for x = |beta|^2,
+
+        <n|D(beta)|m> = sqrt(m!/n!) beta^(n-m) e^(-x/2) L_m^(n-m)(x)            (n >= m)
+                      = sqrt(n!/m!) (-conj(beta))^(m-n) e^(-x/2) L_n^(m-n)(x)   (n < m).
+    """
+    beta = 2 * mp.mpc(alpha.real, alpha.imag)
+    x = abs(beta) ** 2
+    total = mp.mpf(0)
+    for m in range(rho.shape[0]):
+        for n in range(rho.shape[0]):
+            lo, hi = min(m, n), max(m, n)
+            z = beta if n >= m else -mp.conj(beta)
+            d = (mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) * z ** (hi - lo)
+                 * mp.exp(-x / 2) * mp.laguerre(lo, hi - lo, x))
+            total += mp.mpc(rho[m, n].real, rho[m, n].imag) * (-1) ** m * d
+    return float(2 / mp.pi * total.real)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 12])
+def test_wigner_random_state_matches_cahill_glauber_sum(dim):
+    # Nodes near the origin, out to where psi_0(2 alpha) underflows (|2 alpha|
+    # > 38.6), as 1 x 1 grids, and a 4 x 5 grid.
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    # The convention of _mp_wigner is the one the number-state and coherent
+    # tests fix: a truncated coherent state gives the displaced vacuum.
+    coh = make_coherent_fock(0.5 - 0.3j, 30).rho
+    for a in (0.4 + 0.1j, -0.7 + 1.2j):
+        want = 2 / math.pi * math.exp(-2 * abs(a - (0.5 - 0.3j)) ** 2)
+        assert _mp_wigner(coh, a, mp) == pytest.approx(want, abs=1e-14)
+    rho = random_state(dim, seed=dim).rho
+    rng = np.random.default_rng(dim)
+    points = [complex(*z) for z in rng.uniform(-2.5, 2.5, size=(12, 2))]
+    points += [4.0 + 0.5j, -1.0 - 5.0j, 7.5j, 12.0 - 3.0j, -19.0, 19.5 + 1.0j, 25.0j, 30.0 + 30.0j]
+    for a in points:
+        spec = GridSpec(a.real - 0.05, a.real + 0.05, a.imag - 0.05, a.imag + 0.05, 1, 1)
+        node = complex(spec.x_coords()[0], spec.y_coords()[0])
+        got = fock_to_wigner(FockState(rho), spec).values[0, 0]
+        assert abs(got - _mp_wigner(rho, node, mp)) <= 1e-13
+    spec = GridSpec(-2.0, 2.5, -3.0, 1.0, 4, 5)
+    got = fock_to_wigner(FockState(rho), spec).values
+    want = [[_mp_wigner(rho, complex(x, y), mp) for y in spec.y_coords()] for x in spec.x_coords()]
+    assert np.abs(got - np.array(want)).max() <= 1e-13
+
+
+def test_wigner_dim_one_is_the_vacuum():
+    spec = GridSpec(-2.0, 3.0, -1.0, 1.5, 6, 3)
+    r2 = spec.x_coords()[:, None] ** 2 + spec.y_coords()[None, :] ** 2
+    got = fock_to_wigner(make_vacuum(1), spec).values
+    assert np.abs(got - 2.0 / math.pi * np.exp(-2.0 * r2)).max() <= 1e-15
+
+
 def test_wigner_displaced_state_matches_gaussian():
     spec = GridSpec(-2.0, 5.0, -3.0, 4.0, 101, 101)
     wf = fock_to_wigner(make_coherent_fock(1.5 + 0.5j, 40), spec)

@@ -12,6 +12,7 @@ from qbrownian.gaussian import (
     squeeze_from_sigma2,
 )
 from qbrownian.wigner import (
+    _CONV_BLOCK,
     GridSpec,
     WignerGrid,
     grid_moments,
@@ -231,6 +232,31 @@ def test_convolution_is_the_propagator_sum_over_inner_nodes():
     ])
     conv = wigner_by_convolution(sq, FIG1, tau, outer, inner)
     assert np.abs(conv.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _unblocked_convolution(state0, p, tau, grid, inner):
+    """The kernel sum over all inner nodes at once, as two (n x inner nodes) arrays."""
+    dg = delta_big_gamma(p, tau)
+    c = math.exp(-0.5 * big_gamma(p, tau)) * complex(math.cos(p.omega0 * tau),
+                                                     -math.sin(p.omega0 * tau))
+    x0, y0 = inner.x_coords(), inner.y_coords()
+    px = (c.real * x0[:, None] - c.imag * y0[None, :]).ravel()
+    py = (c.imag * x0[:, None] + c.real * y0[None, :]).ravel()
+    w = wigner_gaussian(state0, inner).values.ravel() * inner.dx * inner.dy / (math.pi * dg)
+    ex = np.exp(-((grid.x_coords()[:, None] - px) ** 2) / dg) * w
+    ey = np.exp(-((grid.y_coords()[:, None] - py) ** 2) / dg)
+    return ex @ ey.T
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, _CONV_BLOCK - 1), (_CONV_BLOCK + 1, 1), (37, 29)])
+def test_blocked_convolution_matches_the_unblocked_sum(shape):
+    sq = make_squeezed(0.4 - 0.3j, squeeze_from_sigma2(0.3))
+    tau = 0.3
+    outer = GridSpec.cover_state(propagate(sq, FIG1, tau), n_sigma=4.0, nx=9, ny=7)
+    inner = GridSpec.cover_state(sq, n_sigma=8.0, nx=shape[0], ny=shape[1])
+    got = wigner_by_convolution(sq, FIG1, tau, outer, inner).values
+    want = _unblocked_convolution(sq, FIG1, tau, outer, inner)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_convolution_input_validation():
