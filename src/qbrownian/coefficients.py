@@ -26,8 +26,9 @@ refused as a numerical failure.
 `delta_coeff`, `gamma_coeff` and `big_gamma` call them on one time,
 and `delta_big_gamma` calls the array series behind `coefficient_grid`, so a
 scalar value equals the corresponding grid entry bit for bit.  One time runs
-the formulas on Python floats, without NumPy's per-call cost on 0-d values;
-each operation rounds as its array counterpart does.
+the arithmetic on Python floats, without NumPy's per-call cost on 0-d values;
+each operation rounds as its array counterpart does, and exp, cos and sin are
+NumPy's on both paths.
 
 The generator is of Lindblad type while both rates Delta +/- gamma are
 non-negative.  Each rate is A (1 - e^(-tau) cos(tau/r)) + C e^(-tau) sin(tau/r),
@@ -179,16 +180,16 @@ def _rates(p: PhysicalParams, tau):
     e^(-tau), cos(tau/r), sin(tau/r) and Delta's bracket.
 
     A float ``tau`` runs the same formula lines on Python floats, which
-    round each operation as the array path does.  e^(-tau) stays NumPy's
-    (`math.exp` differs on a few percent of times); `math.cos`/`math.sin`
-    agree with NumPy's bit for bit, as the scalar tests check.
+    round each operation as the array path does.  Its exponential, cosine
+    and sine still come from NumPy's ufuncs (`math.exp` differs from
+    `np.exp` on a few percent of times), so the two paths share them.
     """
     w = 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
     if isinstance(tau, float):
         e = float(np.exp(-tau))
         phase = 2.0 * float(_half_phase(tau, p.r))
-        c, s = math.cos(phase), math.sin(phase)
+        c, s = float(np.cos(phase)), float(np.sin(phase))
     else:
         tau = np.asarray(tau, dtype=float)[()]
         e = np.exp(-tau)

@@ -173,25 +173,30 @@ def test_scalar_functions_equal_array_kernel_bit_for_bit():
     # One time runs the formulas on Python floats, arrays on NumPy; at
     # r = 1e-6 the phase tau/r is reduced in extended precision.
     rng = np.random.default_rng(11)
-    for r in (1e-6, 1e-3, 0.05, 1.0, 30.0):
-        for g in (0.0, 0.1):
-            p = PhysicalParams(g=g, r=r, kt_over_wc=FIG1.kt_over_wc)
-            taus = np.unique(np.concatenate((
-                [0.0],
-                rng.uniform(0.0, 60.0, size=4000),
-                10.0 ** rng.uniform(-12.0, -3.0, size=3000),
-                10.0 ** rng.uniform(-3.0, 3.0, size=3000),
-                [1e3],
-            )))
-            assert taus.size > 10_000
-            delta, gamma, big = closed_forms(p, taus)
-            delta_gamma = coefficient_grid(p, taus).delta_gamma
-            for k, tau in enumerate(taus.tolist()):
-                values = delta_coeff(p, tau), gamma_coeff(p, tau), big_gamma(p, tau)
-                assert all(type(v) is float for v in values)
-                assert values == (delta[k], gamma[k], big[k])
-            for k in range(0, taus.size, 97):
-                assert delta_big_gamma(p, float(taus[k])) == delta_gamma[k]
+    # (r, g) grid at FIG1's temperature (FIG1 among them), and a stronger
+    # coupling, |c| = 0.13, for a longer Delta_Gamma series
+    params = [
+        PhysicalParams(g=g, r=r, kt_over_wc=FIG1.kt_over_wc)
+        for r in (1e-6, 1e-3, 0.05, 1.0, 30.0)
+        for g in (0.0, 0.1)
+    ] + [PhysicalParams(g=0.3, r=1.7, kt_over_wc=20.0)]
+    for p in params:
+        taus = np.unique(np.concatenate((
+            [0.0],
+            rng.uniform(0.0, 60.0, size=4000),
+            10.0 ** rng.uniform(-12.0, -3.0, size=3000),
+            10.0 ** rng.uniform(-3.0, 3.0, size=3000),
+            [1e3],
+        )))
+        assert taus.size > 10_000
+        delta, gamma, big = closed_forms(p, taus)
+        delta_gamma = coefficient_grid(p, taus).delta_gamma
+        for k, tau in enumerate(taus.tolist()):
+            values = delta_coeff(p, tau), gamma_coeff(p, tau), big_gamma(p, tau)
+            assert all(type(v) is float for v in values)
+            assert values == (delta[k], gamma[k], big[k])
+        for k in range(0, taus.size, 7):
+            assert delta_big_gamma(p, float(taus[k])) == delta_gamma[k]
 
 
 def test_grid_delta_gamma_matches_single_shot():
