@@ -74,6 +74,7 @@ _TAYLOR_TERMS = 44
 _PASS_VALUES = 1 << 16
 _LD_ONE = np.longdouble(1.0)
 _TWO_PI = 8.0 * np.arctan(_LD_ONE)
+_exp, _cos, _sin = np.exp, np.cos, np.sin  # the scalar lane's ufuncs, bound once
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,8 @@ def _check_tau(tau: float) -> float:
 def _half_phase(tau, r: float):
     """tau/(2 r) modulo 2 pi, reduced in extended precision: rounding tau/r to
     a double first would put its error, 1e-10 at r = 1e-6, in every phase.
-    For tau >= 0, as every caller passes, ``%`` is ``fmod``."""
+    For tau >= 0, as every caller passes, ``%`` is ``fmod``.  The float lane
+    of `_rates` inlines the same expression."""
     return np.float64(_LD_ONE * tau / (2.0 * r) % _TWO_PI)
 
 
@@ -187,9 +189,10 @@ def _rates(p: PhysicalParams, tau):
     w = 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
     if isinstance(tau, float):
-        e = float(np.exp(-tau))
-        phase = 2.0 * float(_half_phase(tau, p.r))
-        c, s = float(np.cos(phase)), float(np.sin(phase))
+        e = float(_exp(-tau))
+        # `_half_phase`'s long-double reduction, inlined and straight to a float
+        phase = 2.0 * float(_LD_ONE * tau / (2.0 * p.r) % _TWO_PI)
+        c, s = float(_cos(phase)), float(_sin(phase))
     else:
         tau = np.asarray(tau, dtype=float)[()]
         e = np.exp(-tau)

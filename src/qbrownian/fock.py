@@ -4,7 +4,9 @@ This is the test oracle: it integrates
 
     drho/dtau = (Delta+gamma)/2 * [2 a rho a^dag - {a^dag a, rho}]
               + (Delta-gamma)/2 * [2 a^dag rho a - {a a^dag, rho}]
+              = Delta L_Delta rho + gamma L_gamma rho
 
+(L_Delta, L_gamma = D[a] +/- D[a^dag], D[L] rho = L rho L^dag - {L^dag L, rho}/2)
 with the time-dependent coefficients sampled at the integrator's substep
 times, entirely independently of the Gaussian-channel solution.  There is no
 Hamiltonian commutator: the equation lives in the frame corotating with the
@@ -24,6 +26,8 @@ substeps and extrapolates to zero substep length: the Bulirsch-Stoer scheme
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.9) without adaptivity, so
 runs reproduce.  H is at most the fixed cap 0.04 min(1, r) and at most
 STIFFNESS_BOUND / (2 dim max|Delta|), the stability rule; see `integrate_me`.
+A macro step takes its 13 substep weight sets from one matrix product; each of
+its 21 right-hand sides is an elementwise product and a row contraction.
 `FockTrajectory.rho` stacks the records, read-only, as (n_record, dim, dim);
 `states` builds `FockState`s from it and `max_trace_drift` reads `trace_drift`.
 """
@@ -152,6 +156,11 @@ class _RhsWork:
     A packed vector v lives in a buffer [0, v, 0], so that `_neighbours`
     can view it as the rows (v[k-1], v[k], v[k+1]) that the weight rows
     (down, diagonal, up) multiply.
+
+    The generator Delta L_Delta + gamma L_gamma has two fixed band operators,
+    so the weight rows are (Delta, gamma) @ ``basis``, a real (2, 3 size)
+    array.  A right-hand side is their elementwise product with the neighbour
+    rows, whose real view one matrix product with a 3-vector sums and scales.
     """
 
     def __init__(self, dim: int) -> None:
@@ -163,13 +172,16 @@ class _RhsWork:
         self.cols = self.rows + np.repeat(np.arange(dim), lengths)
         i = self.rows.astype(float)
         j = self.cols.astype(float)
-        self.n_sum = i + j
         # Both jumps move along the band with weight sqrt(i+1) sqrt(j+1):
         # a rho a^dag gives out[i, j] from rho[i+1, j+1] (none past the band
         # end j = dim-1), a^dag rho a gives out[i, j] from rho[i-1, j-1]
-        # (none before the band start i = 0, where sqrt(i) = 0).
-        self.up = np.where(self.cols < dim - 1, np.sqrt(i + 1.0) * np.sqrt(j + 1.0), 0.0)
-        self.down = np.sqrt(i) * np.sqrt(j)
+        # (none before the band start i = 0, where sqrt(i) = 0).  The
+        # anticommutators of both jumps add up to -(Delta (n_i + n_j + 1) -
+        # gamma) rho[i, j].  Rows (down, diagonal, up) of L_Delta, then L_gamma:
+        up = np.where(self.cols < dim - 1, np.sqrt(i + 1.0) * np.sqrt(j + 1.0), 0.0)
+        down = np.sqrt(i) * np.sqrt(j)
+        self.basis = np.concatenate([down, -(i + j + 1.0), up, -down, np.ones(self.size),
+                                     up]).reshape(2, 3 * self.size)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """Buffer [0, upper bands of the Hermitian part of ``rho``, 0]."""
@@ -184,27 +196,6 @@ class _RhsWork:
         rho[self.cols, self.rows] = v.conj()
         rho[self.rows, self.cols] = v
         return rho
-
-    def weights(self, delta, gamma, out: np.ndarray) -> None:
-        """Weight rows (down, diagonal, up) into the (3, size) array ``out``.
-
-        With (m, 1) columns of ``delta`` and ``gamma``, m weight sets go into
-        an (m, 3, size) ``out`` at once.
-        """
-        down, diag, up = out[..., 0, :], out[..., 1, :], out[..., 2, :]
-        # The anticommutator terms of both jumps add up to
-        # -(Delta (n_i + n_j) + Delta - gamma) rho[i, j].
-        np.multiply(self.n_sum, -delta, out=diag)
-        np.subtract(diag, delta - gamma, out=diag)
-        np.multiply(self.down, delta - gamma, out=down)
-        np.multiply(self.up, delta + gamma, out=up)
-
-    @staticmethod
-    def apply(w: np.ndarray, nbrs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """out = drho/dtau on the packed bands whose `_neighbours` are ``nbrs``."""
-        np.multiply(w, nbrs, out=tmp)
-        np.add(tmp[1], tmp[2], out=out)
-        out += tmp[0]
 
 
 def _neighbours(buf: np.ndarray) -> np.ndarray:
@@ -225,12 +216,9 @@ def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:
     if not (math.isfinite(delta) and math.isfinite(gamma)):
         raise ValueError(f"coefficients must be finite, got {delta!r}, {gamma!r}")
     work = _RhsWork(state.dim)
-    w = np.empty((3, work.size))
-    work.weights(delta, gamma, w)
-    out = np.empty(work.size, dtype=complex)
-    tmp = np.empty((3, work.size), dtype=complex)
-    work.apply(w, _neighbours(work.pack(state.rho)), out, tmp)
-    return work.unpack(out)
+    w = np.array([delta, gamma]) @ work.basis
+    terms = w.reshape(3, work.size) * _neighbours(work.pack(state.rho))
+    return work.unpack((np.ones(3) @ terms.view(float)).view(complex))
 
 
 def _moments(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -282,15 +270,17 @@ def integrate_me(
 
     A macro step H runs Gragg's modified midpoint rule, with its smoothing end
     step, at n = 2, 4, 6, 8 substeps from one start slope (21 right-hand sides)
-    and extrapolates to zero substep length (Aitken-Neville in h^2).  In each
-    recording interval H = min(0.04 * min(1, r), STIFFNESS_BOUND / (2 dim
-    max|Delta|)), rounded down so the record lands on a macro step, with
-    max|Delta| over the coefficients at the interval's substep times (one
-    `_rates` call).  The packed upper bands of the Hermitian part of
-    ``state0.rho`` are integrated (see `_RhsWork`).  The trace is renormalized
-    every macro step; a drift beyond 1e-6 in one aborts, as does negativity
-    beyond 1e-7 at a record.  ``trace_drift`` holds per record the largest
-    drift since the previous one.
+    and extrapolates to zero substep length (Aitken-Neville in h^2).  Its weight
+    rows at 13 substep times are one product of their (Delta, gamma) with
+    `_RhsWork.basis`; the row contraction of a right-hand side scales it by 1,
+    2 hn (midpoint step) or hn (smoothing step).  In each recording interval
+    H = min(0.04 * min(1, r), STIFFNESS_BOUND / (2 dim max|Delta|)), rounded
+    down so the record lands on a macro step, with max|Delta| over the
+    coefficients at the interval's substep times (one `_rates` call).  The
+    packed upper bands of the Hermitian part of ``state0.rho`` are integrated
+    (see `_RhsWork`).  The trace is renormalized every macro step; a drift
+    beyond 1e-6 in one aborts, as does negativity beyond 1e-7 at a record.
+    ``trace_drift`` holds per record the largest drift since the previous one.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
@@ -307,8 +297,14 @@ def integrate_me(
     # below that of v; each n leaves its smoothed result in a row of ``ends``.
     f0, *es = np.empty((3, work.size), dtype=complex)
     ends = np.empty((len(SUBSTEPS), work.size), dtype=complex)
-    tmp = np.empty((3, work.size), dtype=complex)
-    w = np.empty((len(_NODES), 3, work.size))  # weights at the nodes of a macro step
+    terms = np.empty((3, work.size), dtype=complex)
+    w = np.empty((len(_NODES), 3, work.size))  # weight rows at the nodes of a macro step
+    ones = np.ones(3)
+
+    def slope(i: int, nbrs: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
+        """out = (each of ``scale``) * drho/dtau at node i, on the bands of ``nbrs``."""
+        np.multiply(w[i], nbrs, out=terms)
+        np.matmul(scale, terms.view(float), out=out.view(float))
 
     rho = np.empty((n_record, dim, dim), dtype=complex)
     min_eig, drifts = np.zeros((2, n_record))
@@ -333,23 +329,27 @@ def integrate_me(
             t0s = times[k - 1] + np.arange(steps) * h
             deltas, gammas, _ = _rates(p, t0s[:, None] + _NODES * h)
             need = math.ceil(rec_dt * 2.0 * dim * np.abs(deltas).max() / STIFFNESS_BOUND)
-        for t0, d, g in zip(t0s.tolist(), deltas[:, :, None], gammas[:, :, None]):
-            work.weights(d, g, w)
-            work.apply(w[0], v_nbrs, f0, tmp)
-            for end, n, nodes in zip(ends, SUBSTEPS, _NODE_INDEX):
-                hn = h / n
+        # Per n: hn and the row sums that scale a slope by 2 hn and hn.
+        scales = [(h / n, np.full(3, 2.0 * (h / n)), np.full(3, h / n)) for n in SUBSTEPS]
+        for t0, pairs in zip(t0s.tolist(), np.stack((deltas, gammas), axis=-1)):
+            np.matmul(pairs, work.basis, out=w.reshape(len(_NODES), -1))
+            slope(0, v_nbrs, ones, f0)
+            for end, nodes, (hn, mid, smooth) in zip(ends, _NODE_INDEX, scales):
                 e_old, e = es  # e_{m-1} and e_m, from m = 1
-                e_old[:], e[:] = 0.0, hn * f0
+                e_old[:] = 0.0
+                np.multiply(f0, hn, out=e)
                 for i in nodes[1:-1]:
                     # e_{m+1} = e_{m-1} + 2 hn f(v + e_m), written over e_{m-1}.
                     np.add(v, e, out=z)
-                    work.apply(w[i], z_nbrs, end, tmp)
-                    e_old += 2.0 * hn * end
+                    slope(i, z_nbrs, mid, end)
+                    e_old += end
                     e_old, e = e, e_old
                 # The smoothing step (e_{n-1} + e_n + hn f(v + e_n)) / 2 ends the run.
                 np.add(v, e, out=z)
-                work.apply(w[nodes[-1]], z_nbrs, end, tmp)
-                end[:] = 0.5 * (e_old + e + hn * end)
+                slope(nodes[-1], z_nbrs, smooth, end)
+                end += e_old
+                end += e
+                end *= 0.5
             v += _EXTRAPOLATION @ ends
             tr = v[:dim].sum().real  # band 0 holds the diagonal
             drift = abs(tr - 1.0)

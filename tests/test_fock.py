@@ -82,7 +82,9 @@ def test_rhs_zero_for_zero_coefficients():
     assert np.abs(me_rhs(st, 0.0, 0.0)).max() == 0.0
 
 
-def test_rhs_matches_dense_dissipators_in_interior():
+@pytest.mark.parametrize("delta, gamma", [(0.26, 5e-4), (-0.4, 0.02), (0.0, 0.03), (0.1, 0.1),
+                                          (0.1, -0.1)])
+def test_rhs_matches_dense_dissipators_in_interior(delta, gamma):
     # Discrepancies are confined to the top row/column, where the code keeps
     # the untruncated anticommutator weight n+1 (absorbing boundary) while
     # the dense truncated product aa^dag has a zero corner: the difference is
@@ -91,7 +93,6 @@ def test_rhs_matches_dense_dissipators_in_interior():
     st = random_state(dim, seed=7)
     rho = np.asarray(st.rho)
     a = annihilation(dim)
-    delta, gamma = 0.26, 5e-4
     got = me_rhs(st, delta, gamma)
     want = (delta + gamma) * dense_dissipator(a, rho) + (delta - gamma) * dense_dissipator(
         a.conj().T, rho
@@ -200,17 +201,18 @@ def test_moments_match_dense_operator_averages(dim, g):
         assert ft.var_y[k] == pytest.approx(vy, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau_max, n_record, r", [(0.02, 5, FIG1.r), (0.04, 3, 0.25)])
-def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, r):
+@pytest.mark.parametrize("tau_max, n_record, r, dim", [(0.02, 5, FIG1.r, 12), (0.04, 3, 0.25, 12),
+                                                      (0.2, 3, FIG1.r, 20)])
+def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, r, dim):
     # integrate_me evolves only the packed upper bands of rho, on increments
     # from the start of each macro step; a plain full-matrix modified midpoint
     # rule on the public me_rhs, at the same substep times, extrapolated by the
     # Aitken-Neville tableau and renormalized once per macro step, must agree.
     # At FIG1 both sit at rounding; at r = 0.25 the cap 0.04 r = 0.01 lets the
     # scheme's own error (about 7e-13) exceed the bound, so only the same
-    # scheme agrees.
+    # scheme agrees.  The run to tau = 0.2 crosses the window from tau = 0.1625
+    # where Delta < 0 (at dim 12 it aborts on trace drift near tau = 0.075).
     p = PhysicalParams(g=FIG1.g, r=r, kt_over_wc=FIG1.kt_over_wc)
-    dim = 12
     st0 = make_coherent_fock(0.8 + 0.3j, dim)
     ft = integrate_me(st0, p, tau_max, n_record=n_record)
     rec_dt = tau_max / (n_record - 1)
@@ -329,7 +331,7 @@ def test_wigner_single_photon_negative_at_origin():
                                           (159, 160, 40.0)])
 def test_wigner_number_state_matches_laguerre_closed_form(n, dim, edge):
     # W_n(alpha) = (2/pi) (-1)^n e^(-2|alpha|^2) L_n(4|alpha|^2) reaches the high bands;
-    # at |alpha| ~ 40 the band sums would overflow where e^(-2|alpha|^2) underflows
+    # at |alpha| ~ 40 the Hermite tables are 0, since psi_0 underflows for |2 alpha| > 38.6
     spec = GridSpec(-edge, edge, -edge, edge, 25, 25)
     r2 = spec.x_coords()[:, None] ** 2 + spec.y_coords()[None, :] ** 2
     mp = mpmath.mp.clone()
