@@ -8,6 +8,9 @@ wigner    Wigner-function grids of the evolved state at chosen times (lab
           or corotating frame)
 classify  Lindblad-type sign analysis of Delta +/- gamma
 
+`--tau-max` and `--steps` belong to coeffs, moments and classify (which reads
+no step count); wigner refuses them, as coeffs and classify refuse `--frame`.
+
 Configuration precedence: command-line flags override config-file values,
 which override built-in defaults (squeezed state, sigma^2 = 0.1, g = 0.1,
 r = 0.05, high-temperature reservoir).  Identical configurations produce
@@ -379,9 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--sigma2", type=float, help="squeezed-variance ratio e^(-2s)")
     sq.add_argument("--squeeze-s", dest="squeeze_s", type=float, help="squeeze magnitude s")
     shared.add_argument("--phi", type=float, help="squeeze angle")
-    shared.add_argument("--tau-max", dest="tau_max", type=float, help="final time")
-    shared.add_argument("--steps", type=int,
-                        help="grid points (trajectories)")
     shared.add_argument("--out", type=str, help="output path (or stem for wigner)")
     shared.add_argument("--format", choices=["csv", "json"], help="output format")
     shared.add_argument("--config", type=str, help="JSON config file (flat object)")
@@ -395,12 +395,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("coeffs", parents=[shared],
-                   help="emit Delta, gamma, Gamma, Delta_Gamma on a time grid")
+    coe = sub.add_parser("coeffs", parents=[shared],
+                         help="emit Delta, gamma, Gamma, Delta_Gamma on a time grid")
     mom = sub.add_parser("moments", parents=[shared],
                          help="emit a moment trajectory and a summary JSON")
     wig = sub.add_parser("wigner", parents=[shared],
                          help="emit Wigner grids of the evolved state")
+    cls = sub.add_parser("classify", parents=[shared],
+                         help="sign analysis of Delta +/- gamma (Lindblad type or not)")
+    for timed in (coe, mom, cls):
+        timed.add_argument("--tau-max", dest="tau_max", type=float, help="final time")
+        timed.add_argument("--steps", type=int, help="grid points (classify ignores it)")
     for framed in (mom, wig):
         framed.add_argument("--frame", choices=["lab", "corotating"],
                             help="frame of the emitted moments or grids")
@@ -409,8 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wig.add_argument("--ny", type=int, help="grid points along alpha_y")
     wig.add_argument("--n-sigma", dest="n_sigma", type=float,
                      help="half-extent of auto grids in standard deviations")
-    sub.add_parser("classify", parents=[shared],
-                   help="sign analysis of Delta +/- gamma (Lindblad type or not)")
     return parser
 
 

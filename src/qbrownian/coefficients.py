@@ -52,9 +52,8 @@ from .quadrature import IntegrationError
 
 # Candidate sign-change brackets (monotone pieces of Delta +/- gamma) per
 # Lindblad classification: about min(tau_max, tau*)/(pi r) per combination.
-# The cap bounds time (about 2 s) and memory.  Each pass of the multisection
-# that refines the brackets evaluates about _PASS_POINTS times, so few
-# brackets are cut into many parts per pass.
+# The cap bounds time (about 2 s) and memory.  Each pass of `_negative_runs`
+# evaluates about _PASS_POINTS times, so few brackets are cut into many parts.
 _MAX_BRACKETS = 1 << 17
 _PASS_POINTS = 512
 
@@ -393,6 +392,27 @@ def coefficient_grid(p: PhysicalParams, taus: Sequence[float]) -> CoefficientGri
     return CoefficientGrid(taus, delta, gamma, big, _delta_gamma(p, taus))
 
 
+def _negative_runs(negative, t: np.ndarray, neg: np.ndarray) -> list[tuple[float, float]]:
+    """Runs where ``negative`` (times of any shape to booleans) holds, given
+    its values ``neg`` at the increasing knots ``t``.
+
+    Every change of ``neg`` between two knots is cut into equal parts, about
+    _PASS_POINTS times per pass over all of them, down to two adjacent doubles.
+    A run starts or ends at the first double past its change, or at t[0] or
+    t[-1] if it holds there."""
+    i = np.flatnonzero(neg[:-1] != neg[1:])
+    lo, hi, lo_neg = t[i], t[i + 1], neg[i, None]
+    rows, parts = np.arange(len(i)), max(2, _PASS_POINTS // max(len(i), 1))
+    inner, far = np.arange(1, parts) / parts, np.ones((len(i), 1), dtype=bool)
+    while np.any(np.nextafter(lo, hi) < hi):
+        x = lo[:, None] + (hi - lo)[:, None] * inner
+        j = np.argmax(np.hstack((negative(x) != lo_neg, far)), axis=1)
+        x = np.hstack((lo[:, None], x, hi[:, None]))
+        lo, hi = x[rows, j], x[rows, j + 1]
+    bounds = [float(t[0])] * bool(neg[0]) + hi.tolist() + [float(t[-1])] * bool(neg[-1])
+    return list(zip(bounds[::2], bounds[1::2]))
+
+
 def classify_lindblad(
     p: PhysicalParams, tau_max: float, n_samples: int | None = None
 ) -> LindbladClassification:
@@ -401,11 +421,11 @@ def classify_lindblad(
     Each f = Delta +/- gamma is A (1 - e^(-tau) cos(w tau)) + C e^(-tau) sin(w tau),
     w = 1/r, so f' is proportional to e^(-tau) cos(w tau - phi): f is monotone
     between extrema pi*r apart, and past the horizon tau* = ln(sqrt(A^2+C^2)/|A|)
-    it has the sign of A.  The sign changes on [0, min(tau_max, tau*)], each
-    bracketed between consecutive extrema, are cut down together on
-    `_rates` to adjacent doubles; a boundary is the first double past its
-    sign change.  Nothing is sampled, so tau_max beyond tau* changes nothing.
-    ``n_samples`` is ignored.  Raises IntegrationError above _MAX_BRACKETS.
+    it has the sign of A.  With the knots 0, the extrema before
+    min(tau_max, tau*), that end and tau_max, `_negative_runs` refines every
+    sign change on `_rates` to the first double past it.  Nothing is sampled,
+    so tau_max beyond tau* changes nothing.  ``n_samples`` is ignored.
+    Raises IntegrationError above _MAX_BRACKETS.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max!r}")
@@ -418,31 +438,16 @@ def classify_lindblad(
     if not count <= _MAX_BRACKETS:
         raise IntegrationError(f"Lindblad classification up to tau={tau_max!r} needs "
                                f"{count:.4g} brackets, more than the limit of {_MAX_BRACKETS}")
-    knots = []
-    for (a, c), end in zip(combos, ends):
+    names, negative_intervals = ("delta_plus_gamma", "delta_minus_gamma"), {}
+    for name, sign, (a, c), end in zip(names, (1.0, -1.0), combos, ends):
         k = np.arange(math.ceil(end / (math.pi * p.r)) + 2)
         ext = p.r * (math.atan2(a * w - c, a + c * w) + math.pi * (k + 0.5))
-        knots.append(np.concatenate(([0.0], ext[(ext > 0.0) & (ext < end)], [end, tau_max])))
-    sizes = [len(k) for k in knots]
-    t, sign = np.concatenate(knots), np.repeat([1.0, -1.0], sizes)
-    d, g, _ = _rates(p, t)
-    neg = d + sign * g < 0.0
-    i = np.flatnonzero((neg[:-1] != neg[1:]) & (sign[:-1] == sign[1:]))
-    # Cut every bracket into equal parts and keep the one where f changes
-    # sign, until each bracket is two adjacent doubles.
-    lo, hi, s, lo_neg = t[i], t[i + 1], sign[i, None], neg[i, None]
-    rows, parts = np.arange(len(i)), max(2, _PASS_POINTS // max(len(i), 1))
-    inner, far = np.arange(1, parts) / parts, np.ones((len(i), 1), dtype=bool)
-    while np.any(np.nextafter(lo, hi) < hi):
-        x = lo[:, None] + (hi - lo)[:, None] * inner
-        d, g, _ = _rates(p, x)
-        j = np.argmax(np.hstack(((d + s * g < 0.0) != lo_neg, far)), axis=1)
-        x = np.hstack((lo[:, None], x, hi[:, None]))
-        lo, hi = x[rows, j], x[rows, j + 1]
-    names, negative_intervals = ("delta_plus_gamma", "delta_minus_gamma"), {}
-    # f(0) = 0 exactly, so every negative run starts at a sign change.
-    for name, sk, last in zip(names, (1.0, -1.0), np.cumsum(sizes) - 1):
-        bounds = hi[s[:, 0] == sk].tolist() + [tau_max] * bool(neg[last])
-        negative_intervals[name] = list(zip(bounds[::2], bounds[1::2]))
+        t = np.concatenate(([0.0], ext[(ext > 0.0) & (ext < end)], [end, tau_max]))
+
+        def negative(x, sign=sign):
+            d, g, _ = _rates(p, x)
+            return d + sign * g < 0.0
+
+        negative_intervals[name] = _negative_runs(negative, t, negative(t))
     is_lindblad = not any(negative_intervals.values())
     return LindbladClassification(is_lindblad, negative_intervals, dict(zip(names, horizon)))

@@ -24,8 +24,10 @@ and returns the full matrix.
 Each macro step H runs Gragg's modified midpoint rule at 2, 4, 6 and 8
 substeps and extrapolates to zero substep length: the Bulirsch-Stoer scheme
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.9) without adaptivity, so
-runs reproduce.  H is at most the fixed cap 0.04 min(1, r) and at most
-STIFFNESS_BOUND / (2 dim max|Delta|), the stability rule; see `integrate_me`.
+runs reproduce at a fixed BLAS thread count (records under 1 and 2 OpenBLAS
+threads differ by up to 3.0e-31).  H is at most the fixed cap 0.04 min(1, r)
+and at most STIFFNESS_BOUND / (2 dim max|Delta|), the stability rule; see
+`integrate_me`.
 A macro step takes its 13 substep weight sets from one matrix product; each of
 its 21 right-hand sides is an elementwise product and a row contraction.
 `FockTrajectory.rho` stacks the records, read-only, as (n_record, dim, dim);
@@ -126,21 +128,21 @@ def make_coherent_fock(alpha: complex, dim: int) -> FockState:
 
 
 def make_squeezed_fock(s: float, dim: int) -> FockState:
-    """Squeezed vacuum from the truncated squeeze operator exp((s/2)(a^2 - a^dag^2)).
+    """Squeezed vacuum S(s)|0>, S(s) = exp((s/2)(a^2 - a^dag^2)), in the truncated basis.
 
-    For phi = 0 this squeezes the x quadrature: (Dx)^2 = e^(-2s)/2.
-    The generator G is real antisymmetric, so iG is Hermitian and
-    exp(G) = V exp(-i lambda) V^dag from its eigenpairs (lambda, V).
-    Truncation artifacts concentrate near n = dim, so dim must comfortably
-    exceed the significant number-state support.
+    For phi = 0 this squeezes the x quadrature: (Dx)^2 = e^(-2s)/2.  The
+    amplitudes are exact: psi_0 = 1, psi_(2k+2) = -tanh(s) sqrt((2k+1)/(2k+2))
+    psi_(2k), odd levels 0, renormalized over the kept levels.  Truncation
+    drops the weight above n = dim, so dim must comfortably exceed the
+    significant number-state support.
     """
     if s < 0.0:
         raise ValueError(f"squeeze magnitude must be >= 0, got {s!r}")
-    a = annihilation(dim)
-    lam, vec = np.linalg.eigh(0.5j * s * (a @ a - a.conj().T @ a.conj().T))
-    psi = vec @ (np.exp(-1j * lam) * vec[0].conj())
-    psi /= math.sqrt(float(np.vdot(psi, psi).real))
-    return FockState(np.outer(psi, psi.conj()))
+    n = np.arange(1.0, dim - 1.0, 2.0)  # 2k + 1 for each level 2k + 2 < dim
+    psi = np.zeros(dim)
+    psi[::2] = np.cumprod(np.concatenate(([1.0], -math.tanh(s) * np.sqrt(n / (n + 1.0)))))
+    psi /= math.sqrt(float(psi @ psi))
+    return FockState(np.outer(psi, psi))
 
 
 class _RhsWork:

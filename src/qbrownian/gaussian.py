@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientGrid, PhysicalParams, coefficient_grid
+from .coefficients import (CoefficientGrid, PhysicalParams, _delta_gamma, _negative_runs,
+                           closed_forms, coefficient_grid)
 
 # Tolerance slack on the uncertainty bound det(cov) >= 1/4.
 PHYSICALITY_TOL = 1e-9
@@ -292,33 +293,24 @@ def detect_squeezing_intervals(
 ) -> list[tuple[float, float]]:
     """Intervals of tau where the chosen corotating variance drops below 1/2.
 
-    Threshold crossings are located by linear interpolation between grid
-    samples; a variance exactly at 1/2 counts as non-squeezed.  Variances are
-    taken in the corotating frame, where squeezing is meaningful — in the lab
-    frame the free rotation shuffles the squeezed axis continuously.
+    A variance exactly at 1/2 counts as non-squeezed.  Variances are taken in
+    the corotating frame, where squeezing is meaningful: in the lab frame the
+    free rotation shuffles the squeezed axis continuously.  Each crossing
+    between grid samples is refined on the law e^(-Gamma) v0 + Delta_Gamma by
+    `_negative_runs` to the first double past it, so the ends do not depend
+    on the grid; a dip that starts and ends between two samples is missed.
     """
     if quadrature_axis not in ("x", "y"):
         raise ValueError(f"quadrature_axis must be 'x' or 'y', got {quadrature_axis!r}")
-    vx, vy, _ = traj.variances(frame="corotating")
-    vals = vx if quadrature_axis == "x" else vy
-    times = traj.times
-    thr = SQUEEZING_THRESHOLD
+    k = 0 if quadrature_axis == "x" else 1
+    v0, p = traj.cov[0, k, k], traj.params
 
-    def cross(i: int) -> float:
-        # Interpolated tau where vals crosses thr between samples i-1 and i.
-        t0, t1 = times[i - 1], times[i]
-        v0, v1 = vals[i - 1], vals[i]
-        return float(t0 + (thr - v0) * (t1 - t0) / (v1 - v0))
+    def squeezed(x: np.ndarray) -> np.ndarray:
+        dg = _delta_gamma(p, x.ravel()).reshape(x.shape)
+        return np.exp(-closed_forms(p, x)[2]) * v0 + dg < SQUEEZING_THRESHOLD
 
-    below = vals < thr
-    # Each change of side opens or closes an interval; a window that starts
-    # or ends squeezed is closed by the grid's first or last time.
-    bounds = [cross(i) for i in (np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
-    if below[0]:
-        bounds.insert(0, float(times[0]))
-    if below[-1]:
-        bounds.append(float(times[-1]))
-    return list(zip(bounds[::2], bounds[1::2]))
+    below = traj.variances("corotating")[k] < SQUEEZING_THRESHOLD
+    return _negative_runs(squeezed, traj.times, below)
 
 
 def oscillation_period(samples: np.ndarray | Iterable[Sequence[float]]) -> float | None:

@@ -201,6 +201,13 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 4
     assert "must be finite, got g = 1e+200" in err
+    # wigner reads neither a final time nor a step count, and refuses both
+    for flag in ("--tau-max=1", "--steps=5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner", flag, "--out", str(tmp_path / "w.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_non_finite_phi_and_bad_n_sigma_exit_2(tmp_path, capsys):

@@ -55,14 +55,15 @@ TIMES = st.one_of(
 )
 # A group's flags are alternatives; passing two of them is also tried.
 FLOAT_FLAGS = (("g",), ("r",), ("kt-over-wc", "wc-over-2pikt"), ("alpha-re",), ("alpha-im",),
-               ("sigma2", "squeeze-s"), ("phi",), ("tau-max",))
+               ("sigma2", "squeeze-s"), ("phi",))
 # Valid values, then one the parser rejects.
 CHOICES = {"state": (("vacuum", "coherent", "squeezed"), "thermal"),
            "format": (("csv", "json"), "xml")}
-# Options only one subcommand accepts.
+# Options only some subcommands accept.
 FRAMES = st.sampled_from(("lab", "corotating"))
 OWN = {"wigner": {"n-sigma": floats(), "times": TIMES, "frame": FRAMES},
-       "moments": {"frame": FRAMES}}
+       "moments": {"tau-max": floats(), "frame": FRAMES},
+       "coeffs": {"tau-max": floats()}, "classify": {"tau-max": floats()}}
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 
 from qbrownian.coefficients import (
     PhysicalParams,
+    _negative_runs,
     big_gamma,
     classify_lindblad,
     closed_forms,
@@ -306,6 +307,29 @@ def test_strong_coupling_above_series_cap_names_c():
         coefficient_grid(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), [0.0, 1.0])
     with pytest.raises(IntegrationError, match=r"\|c\|"):
         delta_big_gamma(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), 1.0)
+
+
+def test_negative_runs_end_at_the_first_double_past_each_change():
+    # the first double where x < c fails is c itself, and where x > c holds
+    # is the double after c
+    c = 0.1 + 0.2  # 0.30000000000000004, not a short decimal
+    t = np.array([0.0, 0.5, 1.0])
+    assert _negative_runs(lambda x: x < c, t, t < c) == [(0.0, c)]
+    assert _negative_runs(lambda x: x > c, t, t > c) == [(math.nextafter(c, 1.0), 1.0)]
+    # a run that holds at both ends, around a gap whose ends are refined
+    gap = lambda x: (x < c) | (x > 0.75)
+    assert _negative_runs(gap, t, gap(t)) == [(0.0, c), (math.nextafter(0.75, 1.0), 1.0)]
+    # no change between knots: every knot or none is negative
+    assert _negative_runs(gap, t[::2], gap(t[::2])) == [(0.0, 1.0)]
+    assert _negative_runs(lambda x: x > 2.0, t, t > 2.0) == []
+
+
+def test_negative_runs_bisect_many_brackets_exactly():
+    # 600 brackets get two parts per pass; each change sits on an integer
+    odd = lambda x: np.floor(x) % 2.0 == 1.0
+    t = np.arange(601) + 0.5
+    runs = _negative_runs(odd, t, odd(t))
+    assert runs == [(float(k), float(k + 1)) for k in range(1, 601, 2)]
 
 
 def test_classification_fig1_is_not_lindblad_type():

@@ -68,8 +68,18 @@ def test_constructors():
 
     sq = make_squeezed_fock(SQUEEZE_S, 80)
     n = np.arange(80)
+    # S(s)|0> has psi_2k proportional to (-tanh s)^k sqrt((2k)!)/(2^k k!),
+    # here through lgamma and renormalized over the 80 kept levels
+    k = np.arange(40)
+    log_mag = k * math.log(math.tanh(SQUEEZE_S)) + np.array(
+        [0.5 * math.lgamma(2 * j + 1) - j * math.log(2.0) - math.lgamma(j + 1) for j in k])
+    want = np.zeros(80)
+    want[::2] = (-1.0) ** k * np.exp(log_mag)
+    want /= np.linalg.norm(want)
+    psi = sq.rho[:, 0].real / math.sqrt(sq.rho[0, 0].real)
+    assert np.all(np.abs(psi[::2] / want[::2] - 1.0) <= 1e-13)
     got = float((np.diag(sq.rho).real * n).sum())
-    assert got == pytest.approx(math.sinh(SQUEEZE_S) ** 2, abs=1e-6)
+    assert got == pytest.approx(float((want * want * n).sum()), abs=1e-12)
     # squeezed vacuum populates even levels only
     assert np.abs(np.diag(sq.rho).real[1::2]).max() < 1e-12
 

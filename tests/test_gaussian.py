@@ -210,6 +210,15 @@ def test_squeezing_intervals_frozen_reference():
         detect_squeezing_intervals(traj, quadrature_axis="z")
 
 
+def test_squeezing_interval_ends_do_not_depend_on_the_grid():
+    # the ends are refined on the law, so the grid only has to bracket them
+    st = make_squeezed(0.0, SQUEEZE_S)
+    want = [(0.0, 0.11962051861207038), (0.20758841401699088, 0.42022628464836603)]
+    for n_steps in (200, 2000, 65536):
+        traj = evolve_trajectory(st, FIG1, 0.5, n_steps)
+        assert detect_squeezing_intervals(traj) == want, n_steps
+
+
 def test_squeezing_intervals_edge_cases():
     # coherent input is never squeezed
     traj = evolve_trajectory(make_coherent(1.0), FIG1, 0.5, 201)
