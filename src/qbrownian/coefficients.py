@@ -129,6 +129,15 @@ class PhysicalParams:
         r = self.r
         return 2.0 * g2 * self.kt_over_wc * ((r * r) / (1.0 + r * r)), g2 * (r / (1.0 + r * r))
 
+    @functools.cached_property
+    def _delta_gamma_series(self):
+        """`_delta_gamma` on a non-empty array of times, its tables built on first use."""
+        return _delta_gamma_series(self)
+
+    def __reduce__(self):
+        # Pickle the fields alone: the cached series is a closure.
+        return PhysicalParams, (self.g, self.r, self.kt_over_wc)
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientGrid:
@@ -280,12 +289,18 @@ def _delta_gamma(p: PhysicalParams, taus: np.ndarray) -> np.ndarray:
     and e^(i (m - n) tau/r) - 1 from half-angle sines.  The terms of order tau
     sum to Delta(0) = 0, so for small tau max|lambda| the Taylor series of S
     in tau, whose coefficients are summed once, replaces them.  No term
-    depends on earlier times, and a value does not depend on its grid.
+    depends on earlier times, and a value does not depend on its grid.  The
+    tables of the series are built once per `PhysicalParams`.
 
     Raises IntegrationError for |c| above _MAX_C.
     """
     if taus.size == 0:
         return np.zeros(0)
+    return p._delta_gamma_series(taus)
+
+
+def _delta_gamma_series(p: PhysicalParams):
+    """The tables of `_delta_gamma`'s series at ``p``, and its evaluator on them."""
     r, w = p.r, 1.0 / p.r
     pref_delta, pref_gamma = p.prefactors
     a = 2.0 * pref_gamma
@@ -354,7 +369,8 @@ def _delta_gamma(p: PhysicalParams, taus: np.ndarray) -> np.ndarray:
         return pref_delta * np.exp(-re_cz) * total
 
     step = max(1, _PASS_VALUES // (q.size + top + 1))
-    return np.concatenate([series(taus[i:i + step]) for i in range(0, taus.size, step)])
+    return lambda taus: np.concatenate([series(taus[i:i + step])
+                                        for i in range(0, taus.size, step)])
 
 
 def delta_big_gamma(p: PhysicalParams, tau: float) -> float:

@@ -15,11 +15,12 @@ e^(-i w0 tau) rotation must be applied separately when lab-frame means are
 wanted.
 
 The equation couples rho[i, j] only to rho[i-1, j-1] and rho[i+1, j+1], so
-every diagonal band j - i = d evolves on its own, and rho stays Hermitian.
-The integrator therefore evolves only the bands d >= 0, packed band after
-band into one vector of dim (dim + 1) / 2 entries, and rebuilds the full
-matrix at recorded samples; `me_rhs` applies the same packed right-hand side
-and returns the full matrix.
+every diagonal band j - i = d evolves on its own, and rho stays Hermitian;
+a band that starts at 0 stays exactly 0, and the generator is real, so a real
+rho stays real.  The integrator therefore evolves only the bands d >= 0 that
+the initial state occupies, in real arithmetic if it is real, packed band
+after band into one vector of sum (dim - d) entries, and rebuilds the full
+matrix at recorded samples; `me_rhs` packs every band and returns the full matrix.
 
 Each macro step H runs Gragg's modified midpoint rule at 2, 4, 6 and 8
 substeps and extrapolates to zero substep length: the Bulirsch-Stoer scheme
@@ -146,14 +147,16 @@ def make_squeezed_fock(s: float, dim: int) -> FockState:
 
 
 class _RhsWork:
-    """The master-equation right-hand side on the upper diagonal bands of rho.
+    """The master-equation right-hand side on some upper diagonal bands of rho.
 
     The equation maps rho[i, i+d] only to rho[i-1, i+d-1], rho[i, i+d] and
     rho[i+1, i+d+1], so each band d >= 0 evolves on its own, and Hermiticity
-    gives the bands below the diagonal.  The bands d = 0, 1, ..., dim-1 are
-    packed one after another into a flat vector of dim (dim + 1) / 2 entries.
+    gives the bands below the diagonal.  The increasing ``bands`` from d = 0
+    are packed one after another into a flat vector of sum (dim - d) entries.
     Neighbours in a band are neighbours in the vector, and the shift weights
-    are zero at the band ends, so the shifted terms never mix two bands.
+    are zero at the band ends, so the shifted terms never mix two bands: a
+    band left out (read as 0) is exact if it starts at 0.  The weights are
+    real, so a packed vector of ``dtype`` float stays real.
 
     A packed vector v lives in a buffer [0, v, 0], so that `_neighbours`
     can view it as the rows (v[k-1], v[k], v[k+1]) that the weight rows
@@ -165,13 +168,14 @@ class _RhsWork:
     rows, whose real view one matrix product with a 3-vector sums and scales.
     """
 
-    def __init__(self, dim: int) -> None:
-        lengths = np.arange(dim, 0, -1)
+    def __init__(self, dim: int, bands: np.ndarray, dtype: type) -> None:
+        lengths = dim - bands
         starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.dim = dim
-        self.size = dim * (dim + 1) // 2
+        self.dtype = dtype
+        self.size = int(lengths.sum())
         self.rows = np.arange(self.size) - starts
-        self.cols = self.rows + np.repeat(np.arange(dim), lengths)
+        self.cols = self.rows + np.repeat(bands, lengths)
         i = self.rows.astype(float)
         j = self.cols.astype(float)
         # Both jumps move along the band with weight sqrt(i+1) sqrt(j+1):
@@ -185,16 +189,26 @@ class _RhsWork:
         self.basis = np.concatenate([down, -(i + j + 1.0), up, -down, np.ones(self.size),
                                      up]).reshape(2, 3 * self.size)
 
+    @classmethod
+    def occupied(cls, rho: np.ndarray) -> _RhsWork:
+        """The work on band 0 (the trace) and every band where the Hermitian part
+        of ``rho``, which `pack` reads, has a nonzero entry; float unless one of
+        its imaginary parts is nonzero.  The zero tests are exact, with no tolerance."""
+        herm = 0.5 * (rho + rho.conj().T)
+        i, j = np.nonzero(np.triu(herm))
+        bands = np.flatnonzero(np.bincount(np.append(j - i, 0)))  # band 0 always, increasing
+        return cls(rho.shape[0], bands, complex if herm.imag.any() else float)
+
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        """Buffer [0, upper bands of the Hermitian part of ``rho``, 0]."""
-        rho = np.asarray(rho, dtype=complex)
-        buf = np.zeros(self.size + 2, dtype=complex)
-        buf[1:-1] = (0.5 * (rho + rho.conj().T))[self.rows, self.cols]
+        """Buffer [0, packed bands of the Hermitian part of ``rho``, 0]."""
+        herm = 0.5 * (rho + rho.conj().T)
+        buf = np.zeros(self.size + 2, dtype=self.dtype)
+        buf[1:-1] = (herm if self.dtype is complex else herm.real)[self.rows, self.cols]
         return buf
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
-        """The Hermitian dim x dim matrix whose upper bands are ``v``."""
-        rho = np.empty((self.dim, self.dim), dtype=complex)
+        """The Hermitian dim x dim matrix whose packed bands are ``v``, 0 elsewhere."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
         rho[self.cols, self.rows] = v.conj()
         rho[self.rows, self.cols] = v
         return rho
@@ -217,7 +231,7 @@ def me_rhs(state: FockState, delta: float, gamma: float) -> np.ndarray:
     """
     if not (math.isfinite(delta) and math.isfinite(gamma)):
         raise ValueError(f"coefficients must be finite, got {delta!r}, {gamma!r}")
-    work = _RhsWork(state.dim)
+    work = _RhsWork(state.dim, np.arange(state.dim), complex)
     w = np.array([delta, gamma]) @ work.basis
     terms = w.reshape(3, work.size) * _neighbours(work.pack(state.rho))
     return work.unpack((np.ones(3) @ terms.view(float)).view(complex))
@@ -279,8 +293,9 @@ def integrate_me(
     H = min(0.04 * min(1, r), STIFFNESS_BOUND / (2 dim max|Delta|)), rounded
     down so the record lands on a macro step, with max|Delta| over the
     coefficients at the interval's substep times (one `_rates` call).  The
-    packed upper bands of the Hermitian part of ``state0.rho`` are integrated
-    (see `_RhsWork`).  The trace is renormalized every macro step; a drift
+    bands that the Hermitian part of ``state0.rho`` occupies are integrated,
+    in real arithmetic if it is real (`_RhsWork.occupied`); the others stay
+    exactly 0.  The trace is renormalized every macro step; a drift
     beyond 1e-6 in one aborts, as does negativity beyond 1e-7 at a record.
     ``trace_drift`` holds per record the largest drift since the previous one.
     """
@@ -292,14 +307,14 @@ def integrate_me(
     dim = state0.dim
     times = np.linspace(0.0, tau_max, n_record)
     rec_dt = tau_max / (n_record - 1)
-    work = _RhsWork(dim)
-    v_buf, z_buf = work.pack(state0.rho), np.zeros(work.size + 2, dtype=complex)
+    work = _RhsWork.occupied(state0.rho)
+    v_buf, z_buf = work.pack(state0.rho), np.zeros(work.size + 2, dtype=work.dtype)
     v, z, v_nbrs, z_nbrs = v_buf[1:-1], z_buf[1:-1], _neighbours(v_buf), _neighbours(z_buf)
     # The midpoint rule runs on increments e = z - v, whose rounding stays far
     # below that of v; each n leaves its smoothed result in a row of ``ends``.
-    f0, *es = np.empty((3, work.size), dtype=complex)
-    ends = np.empty((len(SUBSTEPS), work.size), dtype=complex)
-    terms = np.empty((3, work.size), dtype=complex)
+    f0, *es = np.empty((3, work.size), dtype=work.dtype)
+    ends = np.empty((len(SUBSTEPS), work.size), dtype=work.dtype)
+    terms = np.empty((3, work.size), dtype=work.dtype)
     w = np.empty((len(_NODES), 3, work.size))  # weight rows at the nodes of a macro step
     ones = np.ones(3)
 

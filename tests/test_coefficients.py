@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qbrownian.coefficients import (
     PhysicalParams,
+    _delta_gamma,
     _negative_runs,
     big_gamma,
     classify_lindblad,
@@ -307,6 +309,28 @@ def test_strong_coupling_above_series_cap_names_c():
         coefficient_grid(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), [0.0, 1.0])
     with pytest.raises(IntegrationError, match=r"\|c\|"):
         delta_big_gamma(PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0), 1.0)
+
+
+def test_delta_gamma_series_is_built_once_per_parameter_set():
+    # Strong coupling still constructs; the series refuses it on first use,
+    # on every call, with the same message.
+    strong = PhysicalParams(g=3.0, r=10.0, kt_over_wc=20.0)
+    message = (r"Delta_Gamma series needs \|c\| = 2 g\^2 r\^2/\(1\+r\^2\) <= 7.0, got "
+               r"\|c\| = 17.82 \(g = 3.0, r = 10.0\)$")
+    for _ in range(2):
+        with pytest.raises(IntegrationError, match=message):
+            coefficient_grid(strong, [0.0, 1.0])
+    # The tables are kept with the parameters; a call, a repeated call and a
+    # call on an equal fresh parameter set give the same bits.
+    taus = np.linspace(0.0, 3.0, 301)
+    first = _delta_gamma(FIG1, taus)
+    assert FIG1._delta_gamma_series is FIG1._delta_gamma_series
+    fresh = PhysicalParams(FIG1.g, FIG1.r, FIG1.kt_over_wc)
+    for values in (_delta_gamma(FIG1, taus), _delta_gamma(fresh, taus),
+                   coefficient_grid(fresh, taus).delta_gamma):
+        assert np.array_equal(values, first)
+    # a parameter set that holds its tables still pickles, as its fields
+    assert pickle.loads(pickle.dumps(FIG1)) == FIG1
 
 
 def test_negative_runs_end_at_the_first_double_past_each_change():

@@ -211,19 +211,34 @@ def test_moments_match_dense_operator_averages(dim, g):
         assert ft.var_y[k] == pytest.approx(vy, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau_max, n_record, r, dim", [(0.02, 5, FIG1.r, 12), (0.04, 3, 0.25, 12),
-                                                      (0.2, 3, FIG1.r, 20)])
-def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, r, dim):
-    # integrate_me evolves only the packed upper bands of rho, on increments
-    # from the start of each macro step; a plain full-matrix modified midpoint
-    # rule on the public me_rhs, at the same substep times, extrapolated by the
-    # Aitken-Neville tableau and renormalized once per macro step, must agree.
+INITIAL_STATES = {
+    "coherent": lambda dim: make_coherent_fock(0.8 + 0.3j, dim),
+    "squeezed": lambda dim: make_squeezed_fock(0.3, dim),
+    "number": lambda dim: make_number_state(2, dim),
+}
+ME_RHS_CASES = [(0.02, 5, FIG1.r, 12), (0.04, 3, 0.25, 12), (0.2, 3, FIG1.r, 20)]
+
+
+@pytest.mark.parametrize("tau_max, n_record, r, dim, kind", [
+    *(pytest.param(*case, "coherent", id="-".join(map(str, case))) for case in ME_RHS_CASES),
+    *((*case, kind) for kind in ("squeezed", "number") for case in ME_RHS_CASES),
+])
+def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max, n_record, r, dim,
+                                                                        kind):
+    # integrate_me evolves only the packed upper bands of rho that the state
+    # occupies, on increments from the start of each macro step; a plain
+    # full-matrix modified midpoint rule on the public me_rhs, at the same
+    # substep times, extrapolated by the Aitken-Neville tableau and
+    # renormalized once per macro step, must agree.  The coherent state is
+    # complex on every band; the squeezed vacuum is real on the even bands and
+    # the number state is band 0 alone, so they run in real arithmetic on
+    # fewer bands, while me_rhs packs every band in complex arithmetic.
     # At FIG1 both sit at rounding; at r = 0.25 the cap 0.04 r = 0.01 lets the
     # scheme's own error (about 7e-13) exceed the bound, so only the same
     # scheme agrees.  The run to tau = 0.2 crosses the window from tau = 0.1625
     # where Delta < 0 (at dim 12 it aborts on trace drift near tau = 0.075).
     p = PhysicalParams(g=FIG1.g, r=r, kt_over_wc=FIG1.kt_over_wc)
-    st0 = make_coherent_fock(0.8 + 0.3j, dim)
+    st0 = INITIAL_STATES[kind](dim)
     ft = integrate_me(st0, p, tau_max, n_record=n_record)
     rec_dt = tau_max / (n_record - 1)
     steps = math.ceil(rec_dt / (0.04 * min(1.0, r)))
@@ -259,6 +274,50 @@ def test_integrator_matches_full_matrix_extrapolated_midpoint_on_me_rhs(tau_max,
         got = ft.rho[k]
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - rho).max() <= 1e-13
+
+
+def test_phase_rotated_coherent_state_rotates_every_record():
+    # The generator commutes with the phase rotation e^(i theta n), so rotating
+    # the initial state rotates each record: rho_theta[m, n] = e^(i (m - n)
+    # theta) rho_0[m, n].  At real alpha the run takes the real path, at
+    # alpha e^(i theta) the complex one, on every band either way.
+    alpha, theta, dim = 1.1, 0.7, 30
+    ft0 = integrate_me(make_coherent_fock(alpha, dim), FIG1, tau_max=0.08, n_record=5)
+    ft = integrate_me(make_coherent_fock(alpha * np.exp(1j * theta), dim), FIG1, tau_max=0.08,
+                      n_record=5)
+    n = np.arange(dim)
+    phase = np.exp(1j * theta * (n[:, None] - n))
+    assert np.abs(ft.rho - phase * ft0.rho).max() <= 1e-14
+    assert not ft0.rho.imag.any()
+
+
+def test_unoccupied_bands_and_imaginary_parts_stay_exactly_zero():
+    # The master equation moves weight only along each band and has real
+    # coefficients: the squeezed vacuum (phi = 0) keeps its odd bands and
+    # every imaginary part at 0, and a number state stays diagonal, exactly.
+    i, j = np.indices((40, 40))
+    ft = integrate_me(make_squeezed_fock(0.5, 40), FIG1, tau_max=0.1, n_record=6)
+    assert not ft.rho[:, (j - i) % 2 == 1].any()
+    assert not ft.rho.imag.any()
+    ft = integrate_me(make_number_state(3, 40), FIG1, tau_max=0.1, n_record=6)
+    assert not ft.rho[:, i != j].any()
+    assert ft.rho[-1, 2, 2] > 0.0 and ft.rho[-1, 4, 4] > 0.0
+
+
+def test_band_occupied_only_by_the_hermitian_part_is_integrated():
+    # FockState accepts rho Hermitian within 1e-12, and integrate_me evolves
+    # the Hermitian part (rho + rho^dag) / 2.  A coherence that sits only below
+    # the diagonal, and is imaginary, makes band 2 and the imaginary parts
+    # occupied in that part, though the upper triangle has neither; the run
+    # must equal the one from the Hermitian part itself, bit for bit.
+    rho = np.zeros((12, 12), dtype=complex)
+    rho[0, 0] = rho[2, 2] = 0.5
+    rho[2, 0] = 2e-13j
+    herm = 0.5 * (rho + rho.conj().T)
+    ft = integrate_me(FockState(rho), FIG1, tau_max=0.02, n_record=3)
+    ref = integrate_me(FockState(herm), FIG1, tau_max=0.02, n_record=3)
+    assert np.array_equal(ft.rho, ref.rho)
+    assert ft.rho[-1, 0, 2].imag < 0.0
 
 
 def test_stiffness_rule_splits_a_single_record_interval():
